@@ -2,16 +2,19 @@
 
 A non-complete cube of a tree decomposes into maximal cliques that are the
 1-spans of the internal tree edges. Root extraction inverts that structure
-constructively (clique intersections recover the end-deleted skeleton and the
-leaf counts), verifies the candidate by recubing, and falls back to exhaustive
-enumeration when the constructive path fails. Every positive answer is
-verified, so correctness never rests on the heuristic.
+constructively: clique intersections recover the end-deleted skeleton, the
+leaf counts, and where every root vertex sits among G's vertices. The
+candidate is verified by labeled recubing, an exact edge-set equality between
+the candidate's cube and G on G's own vertices, with no isomorphism test.
+When the constructive pass fails, exhaustive enumeration is the fallback, so
+correctness never rests on the heuristic. Complete graphs have many roots,
+the star and the double stars, which are built in closed form.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import _kernels
@@ -20,13 +23,12 @@ from .graphs import (
     CanonicalForm,
     LabeledGraph,
     canonical_form,
+    canonical_order,
     diameter,
     edge_span,
     induced_subgraph,
     is_complete,
     is_connected,
-    is_isomorphic,
-    isomorphism,
     power,
 )
 from .trees import (
@@ -59,20 +61,25 @@ class RootKind(enum.Enum):
 class RootResult:
     """Outcome of cube-root extraction.
 
-    ``tree`` is set for unique roots. For complete inputs on at least 3
-    vertices, ``roots`` lists every diameter-<=3 tree of that order;
+    ``tree`` is set for unique roots, and ``vertex_map[v]`` is the vertex of
+    the input graph that root vertex ``v`` stands for: the cube of ``tree``,
+    relabeled through that map, is the input graph edge for edge. For
+    complete inputs on at least 3 vertices, ``roots`` lists every diameter-<=3
+    tree of that order (the star, then the double stars);
     ``roots_enumerated`` is False when the order exceeds the enumeration cap
-    and the list was left empty.
+    and the list was left empty. The vertex map is not serialized and takes
+    no part in equality.
     """
 
     kind: RootKind
     tree: Tree | None = None
     roots: tuple[Tree, ...] = ()
     roots_enumerated: bool = True
+    vertex_map: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def unique(cls, tree: Tree) -> "RootResult":
-        return cls(RootKind.UNIQUE, tree=tree)
+    def unique(cls, tree: Tree, vertex_map: tuple[int, ...] | None = None) -> "RootResult":
+        return cls(RootKind.UNIQUE, tree=tree, vertex_map=vertex_map)
 
     @classmethod
     def ambiguous_complete(cls, roots: tuple[Tree, ...], enumerated: bool = True) -> "RootResult":
@@ -163,16 +170,28 @@ def kth_order_terminal_cliques(G_or_T: LabeledGraph | Tree, k: int) -> list[Cliq
 # ── constructive root extraction ──────────────────────────────────────
 
 
-def _constructive_root(G: LabeledGraph) -> Tree | None:
+def _constructive_root(G: LabeledGraph) -> tuple[Tree, tuple[int, ...]] | None:
     """Propose a root for a connected non-complete graph, or None.
 
     Rebuilds the end-deleted skeleton from the maximal cliques: cliques
     sharing at least 3 vertices are centered on skeleton edges with a common
     endpoint, so the maximal groups of pairwise-overlapping cliques are the
-    edge stars of the skeleton's internal vertices (Krausz classes). Clique
-    intersections pin down closed neighborhoods, which yield the leaf count
-    at every skeleton vertex. Any structural inconsistency returns None; the
-    caller re-verifies by cubing, so this routine may be wrong but never
+    edge stars of the skeleton's internal vertices (Krausz classes). The
+    cliques of a class intersect in the closed neighborhood N[x] of its
+    center x, which places every root vertex among G's vertices:
+
+    * x is the one vertex that N[x] shares with the neighborhoods of all
+      neighboring classes (N[x] & N[z] = {x, z}). With fewer than two
+      neighboring classes the candidates left are twins in G, so any fixed
+      choice is right.
+    * A pendant skeleton vertex takes one of the vertices left in its
+      class's neighborhood; its leaves are its clique minus that
+      neighborhood.
+    * x's own leaves are what its neighborhood has left after that.
+
+    Returns the root as ``expand`` numbers it together with the map from its
+    vertices to G's. Any structural inconsistency returns None; the caller
+    verifies the labeled candidate, so this routine may be wrong but never
     silently so.
     """
     cliques = maximal_cliques(G)
@@ -209,17 +228,17 @@ def _constructive_root(G: LabeledGraph) -> Tree | None:
 
     t = len(classes)
     xi_edges = []
-    pendant_of: list[int] = []  # clique index -> pendant vertex id, parallel lists
-    pendant_ids: list[int] = []
-    nxt = t
+    class_nbrs: list[list[int]] = [[] for _ in range(t)]
+    pendants: list[tuple[int, int]] = []  # (clique index, class of its inner end)
     for e, cov in enumerate(cover):
         if len(cov) == 2:
             xi_edges.append((cov[0], cov[1]))
+            class_nbrs[cov[0]].append(cov[1])
+            class_nbrs[cov[1]].append(cov[0])
         else:
-            xi_edges.append((cov[0], nxt))
-            pendant_of.append(e)
-            pendant_ids.append(nxt)
-            nxt += 1
+            xi_edges.append((cov[0], t + len(pendants)))
+            pendants.append((e, cov[0]))
+    nxt = t + len(pendants)
     if len(set(map(frozenset, xi_edges))) != m or nxt != m + 1:
         return None
     try:
@@ -233,59 +252,110 @@ def _constructive_root(G: LabeledGraph) -> Tree | None:
         for e in members[1:]:
             nb = nb & cliques[e]
         neighborhoods.append(nb)
-    weights = [0] * nxt
-    for ci, members in enumerate(classes):
-        w = len(neighborhoods[ci]) - len(members) - 1
-        if w < 0:
+    centers = []
+    for ci in range(t):
+        c = neighborhoods[ci]
+        for cj in class_nbrs[ci]:
+            c = c & neighborhoods[cj]
+        centers.append(c)
+    label = [0] * t
+    used: set[int] = set()
+    # fewest candidates first, so pinned centers are placed before their twins
+    for ci in sorted(range(t), key=lambda ci: len(centers[ci])):
+        free = centers[ci] - used
+        if not free:
             return None
-        weights[ci] = w
-    for e, pv in zip(pendant_of, pendant_ids):
-        b = cover[e][0]
-        w = len(cliques[e]) - len(neighborhoods[b])
-        if w < 1:
+        label[ci] = min(free)
+        used.add(label[ci])
+    pendant_leaves = []
+    for e, b in pendants:
+        free = neighborhoods[b] - used
+        if not free:
             return None
-        weights[pv] = w
-    if nxt + sum(weights) != G.p:
+        label.append(min(free))
+        used.add(label[-1])
+        pendant_leaves.append(cliques[e] - neighborhoods[b])
+    leaf_sets = [neighborhoods[ci] - used for ci in range(t)] + pendant_leaves
+    vertex_map = tuple(label) + tuple(v for s in leaf_sets for v in sorted(s))
+    if len(vertex_map) != G.p:
         return None
     try:
-        return expand(WeightedTree(skeleton, weights))
+        root = expand(WeightedTree(skeleton, map(len, leaf_sets)))
     except ValueError:
         return None
+    return root, vertex_map
+
+
+def _is_labeled_cube(G: LabeledGraph, T: Tree, vertex_map: tuple[int, ...]) -> bool:
+    """True iff ``vertex_map`` is a bijection carrying T's cube onto G edge for edge."""
+    if sorted(vertex_map) != list(range(G.p)):
+        return False
+    cube = power(T.graph, 3)
+    if len(cube.edges) != len(G.edges):
+        return False
+    adj = G._adj
+    return all(adj[vertex_map[u]] >> vertex_map[v] & 1 for u, v in cube.edges)
 
 
 @lru_cache(maxsize=None)
-def _cube_certificate(T: Tree) -> CanonicalForm:
-    return canonical_form(power(T.graph, 3))
+def _complete_roots(p: int) -> tuple[Tree, ...]:
+    """The trees of diameter at most 3 on p >= 3 vertices, in enumeration order.
+
+    The star (b = 0), then the double stars: vertex 0 keeps p - 2 - b leaves
+    and its neighbor 1 takes the last b vertices.
+    """
+    return tuple(
+        Tree(LabeledGraph(p, [(0, v) for v in range(1, p - b)]
+                          + [(1, v) for v in range(p - b, p)]))
+        for b in range((p - 2) // 2 + 1))
+
+
+@lru_cache(maxsize=None)
+def _cube_canonical(T: Tree) -> tuple[CanonicalForm, tuple[int, ...]]:
+    cube = power(T.graph, 3)
+    return canonical_form(cube), canonical_order(cube)
+
+
+def _enumerated_root(G: LabeledGraph, T: Tree) -> RootResult:
+    """Unique root T, matched to G by certificate; the canonical orders map it."""
+    order_t = _cube_canonical(T)[1]
+    order_g = canonical_order(G)
+    vertex_map = [0] * G.p
+    for i, v in enumerate(order_t):
+        vertex_map[v] = order_g[i]
+    return RootResult.unique(T, tuple(vertex_map))
 
 
 def cube_root(G: LabeledGraph) -> RootResult:
     """Extract the tree root of a cube.
 
     Unique for connected non-complete cubes; complete graphs on at least 3
-    vertices are ambiguous (any tree of diameter below 4 works); everything
-    else is not a cube. Constructive extraction is tried first and always
-    verified by recubing; on failure the tree enumeration is scanned, so a
-    negative answer within the enumeration cap is exhaustive.
+    vertices are ambiguous (the star and the double stars, built in closed
+    form); everything else is not a cube. Constructive extraction is tried
+    first and places every root vertex on a vertex of G; the candidate is
+    accepted only by labeled recubing, exact edge equality between its cube
+    and G on G's own vertices. On failure the tree enumeration is scanned by
+    certificate, so a negative answer within the enumeration cap is
+    exhaustive.
     """
     p = G.p
     if p == 0 or not is_connected(G):
         return RootResult.not_a_cube()
     if p <= 2:
-        return RootResult.unique(Tree(LabeledGraph(p, [(0, 1)] if p == 2 else [])))
+        root = Tree(LabeledGraph(p, [(0, 1)] if p == 2 else []))
+        return RootResult.unique(root, tuple(range(p)))
     if is_complete(G):
-        cap = max_enumeration_order()
-        if p > cap:
+        if p > max_enumeration_order():
             return RootResult.ambiguous_complete((), enumerated=False)
-        roots = tuple(T for T in enumerate_trees(p) if diameter(T.graph) <= 3)
-        return RootResult.ambiguous_complete(roots)
-    cand = _constructive_root(G)
-    if cand is not None and is_isomorphic(power(cand.graph, 3), G):
-        return RootResult.unique(cand)
+        return RootResult.ambiguous_complete(_complete_roots(p))
+    found = _constructive_root(G)
+    if found is not None and _is_labeled_cube(G, *found):
+        return RootResult.unique(*found)
     if p <= max_enumeration_order():
         target = canonical_form(G)
         for T in enumerate_trees(p):
-            if _cube_certificate(T) == target:
-                return RootResult.unique(T)
+            if _cube_canonical(T)[0] == target:
+                return _enumerated_root(G, T)
     return RootResult.not_a_cube()
 
 
@@ -298,12 +368,12 @@ def cube_root_oracle(G: LabeledGraph) -> RootResult:
     if p == 0 or not is_connected(G):
         return RootResult.not_a_cube()
     target = canonical_form(G)
-    matches = [T for T in enumerate_trees(p) if _cube_certificate(T) == target]
+    matches = [T for T in enumerate_trees(p) if _cube_canonical(T)[0] == target]
     if not matches:
         return RootResult.not_a_cube()
     if p >= 3 and is_complete(G):
         return RootResult.ambiguous_complete(tuple(matches))
-    return RootResult.unique(matches[0])
+    return _enumerated_root(G, matches[0])
 
 
 def is_tree_cube(G: LabeledGraph) -> bool:
@@ -330,5 +400,4 @@ def terminal_vertices(G: LabeledGraph) -> frozenset[int]:
         raise NotACubeError("input graph is not the cube of a tree")
     if r.kind is RootKind.AMBIGUOUS_COMPLETE:
         raise AmbiguousStructureError("complete cube: the root tree is not unique")
-    phi = isomorphism(power(r.tree.graph, 3), G)
-    return frozenset(phi[v] for v in leaves(r.tree))
+    return frozenset(r.vertex_map[v] for v in leaves(r.tree))

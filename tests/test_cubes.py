@@ -24,6 +24,7 @@ from treecube.graphs import (
     is_complete,
     is_isomorphic,
     path_graph,
+    relabel,
     star_graph,
 )
 from treecube.trees import Tree, end_deleted, enumerate_trees, leaves
@@ -153,11 +154,12 @@ def test_cube_root_small_and_degenerate():
 
 
 def test_cube_root_complete_roots_are_all_small_diameter_trees():
-    for p in range(3, 9):
+    # the closed-form roots are the enumeration's, edge for edge and in order
+    for p in range(3, 13):
         r = cube_root(complete_graph(p))
         assert r.kind is RootKind.AMBIGUOUS_COMPLETE
         want = [T for T in enumerate_trees(p) if diameter(T.graph) <= 3]
-        assert len(r.roots) == len(want)
+        assert [T.graph.edge_list() for T in r.roots] == [T.graph.edge_list() for T in want]
         for T in r.roots:
             assert diameter(T.graph) <= 3
             assert is_complete(power(T.graph, 3))
@@ -170,13 +172,24 @@ def test_cube_root_beyond_cap_flags_unenumerated_roots(monkeypatch):
     assert not r.roots_enumerated and r.roots == ()
 
 
+def assert_maps_cube_onto(r, G):
+    """The root's vertex map carries its cube onto G, edge for edge."""
+    phi = r.vertex_map
+    assert sorted(phi) == list(range(G.p))
+    assert {tuple(sorted((phi[u], phi[v]))) for u, v in power(r.tree.graph, 3).edges} == G.edges
+
+
 def test_cube_root_oracle_matches_and_limits(monkeypatch):
-    for G in [power(path_graph(5), 3), complete_graph(4), cycle_graph(6),
+    import random
+    spider_cube = relabeled_cube(spider(3, 2, 2), random.Random(3))
+    for G in [power(path_graph(5), 3), spider_cube, complete_graph(4), cycle_graph(6),
               LabeledGraph(1), LabeledGraph(2, [(0, 1)])]:
         a, b = cube_root(G), cube_root_oracle(G)
         assert a.kind is b.kind
         if a.kind is RootKind.UNIQUE:
             assert is_isomorphic(a.tree.graph, b.tree.graph)
+            assert_maps_cube_onto(a, G)
+            assert_maps_cube_onto(b, G)
     monkeypatch.setenv("TREECUBE_MAX_ORDER", "6")
     with pytest.raises(EnumerationLimitError):
         cube_root_oracle(complete_graph(7))
@@ -265,3 +278,63 @@ def test_root_result_serializes():
     d = cube_root(complete_graph(4)).to_dict()
     assert d["kind"] == "ambiguous-complete" and len(d["roots"]) == 2
     assert cube_root(cycle_graph(5)).to_dict() == {"kind": "not-a-cube"}
+
+
+def complete_binary_tree(depth):
+    p = 2 ** (depth + 1) - 1
+    return Tree(LabeledGraph(p, [((v - 1) // 2, v) for v in range(1, p)]))
+
+
+def relabeled_cube(T, rng):
+    perm = list(range(T.p))
+    rng.shuffle(perm)
+    return relabel(power(T.graph, 3), perm)
+
+
+def test_cube_root_runs_no_canonical_labeling(monkeypatch):
+    # symmetric roots whose certificates take the unpruned canonical search
+    # minutes: the labeled check must get by without one
+    import random
+    from treecube import _kernels
+    from treecube.trees import ahu_code
+
+    def refuse(p, adj):
+        raise AssertionError("cube_root ran a canonical labeling")
+
+    monkeypatch.setattr(_kernels, "canonical_labeling", refuse)
+    rng = random.Random(7)
+    for T in (spider(*[3] * 8), spider(*[3] * 10), complete_binary_tree(5),
+              complete_binary_tree(6)):
+        G = relabeled_cube(T, rng)
+        r = cube_root(G)
+        assert r.kind is RootKind.UNIQUE
+        assert ahu_code(r.tree) == ahu_code(T)
+        assert_maps_cube_onto(r, G)
+        assert len(terminal_vertices(G)) == len(leaves(T))
+
+
+def test_labeled_check_rejects_a_misplaced_vertex():
+    from treecube.cubes import _constructive_root, _is_labeled_cube
+    G = power(path_graph(7), 3)
+    T, phi = _constructive_root(G)
+    assert _is_labeled_cube(G, T, phi)
+    # P7's cube has no twins, so any transposition misplaces two vertices
+    swapped = list(phi)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    assert not _is_labeled_cube(G, T, tuple(swapped))
+    assert not _is_labeled_cube(G, T, phi[:-1] + (phi[0],))
+
+
+def test_cube_root_needs_no_enumeration_fallback(monkeypatch):
+    import random
+    import treecube.cubes as cubes
+    rng = random.Random(11)
+    inputs = []
+    for p in range(5, 12):
+        for T in enumerate_trees(p):
+            if diameter(T.graph) >= 4:
+                inputs.extend(relabeled_cube(T, rng) for _ in range(3))
+    monkeypatch.setattr(cubes, "max_enumeration_order", lambda: 2)
+    for G in inputs:
+        assert cube_root(G).kind is RootKind.UNIQUE
+

@@ -61,14 +61,14 @@ def test_dispatcher_prefers_compiled_for_small_orders():
 
 
 def test_pure_python_forced_by_env():
+    import os
     import subprocess
     import sys
     code = ("import treecube._kernels as k; "
             "print(k.backend_name(10), k.COMPILED_AVAILABLE)")
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env={"TREECUBE_PURE_PYTHON": "1", "PATH": "/usr/bin:/bin"},
-    )
+    env = {"TREECUBE_PURE_PYTHON": "1", "PATH": "/usr/bin:/bin",
+           "PYTHONPATH": os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.stdout.split() == ["python", "False"]
 
 
