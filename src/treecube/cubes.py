@@ -6,8 +6,10 @@ constructively: clique intersections recover the end-deleted skeleton, the
 leaf counts, and where every root vertex sits among G's vertices. The
 candidate is verified by labeled recubing, an exact edge-set equality between
 the candidate's cube and G on G's own vertices, with no isomorphism test.
-When the constructive pass fails, exhaustive enumeration is the fallback, so
-correctness never rests on the heuristic. Complete graphs have many roots,
+A non-complete graph with no candidate, or whose candidate fails the check,
+is not a cube, at every order; the tests certify the constructive pass on
+every non-complete tree cube up to the enumeration cap, and the brute-force
+oracle stays as the independent reference. Complete graphs have many roots,
 the star and the double stars, which are built in closed form.
 """
 
@@ -316,27 +318,17 @@ def _cube_canonical(T: Tree) -> tuple[CanonicalForm, tuple[int, ...]]:
     return canonical_form(cube), canonical_order(cube)
 
 
-def _enumerated_root(G: LabeledGraph, T: Tree) -> RootResult:
-    """Unique root T, matched to G by certificate; the canonical orders map it."""
-    order_t = _cube_canonical(T)[1]
-    order_g = canonical_order(G)
-    vertex_map = [0] * G.p
-    for i, v in enumerate(order_t):
-        vertex_map[v] = order_g[i]
-    return RootResult.unique(T, tuple(vertex_map))
-
-
 def cube_root(G: LabeledGraph) -> RootResult:
     """Extract the tree root of a cube.
 
     Unique for connected non-complete cubes; complete graphs on at least 3
     vertices are ambiguous (the star and the double stars, built in closed
-    form); everything else is not a cube. Constructive extraction is tried
-    first and places every root vertex on a vertex of G; the candidate is
-    accepted only by labeled recubing, exact edge equality between its cube
-    and G on G's own vertices. On failure the tree enumeration is scanned by
-    certificate, so a negative answer within the enumeration cap is
-    exhaustive.
+    form); everything else is not a cube. Constructive extraction places
+    every root vertex on a vertex of G, and the candidate is accepted only by
+    labeled recubing, exact edge equality between its cube and G on G's own
+    vertices. No canonical labeling or tree enumeration is involved, so the
+    call is polynomial and a negative answer means the same below and above
+    the enumeration cap.
     """
     p = G.p
     if p == 0 or not is_connected(G):
@@ -351,11 +343,6 @@ def cube_root(G: LabeledGraph) -> RootResult:
     found = _constructive_root(G)
     if found is not None and _is_labeled_cube(G, *found):
         return RootResult.unique(*found)
-    if p <= max_enumeration_order():
-        target = canonical_form(G)
-        for T in enumerate_trees(p):
-            if _cube_canonical(T)[0] == target:
-                return _enumerated_root(G, T)
     return RootResult.not_a_cube()
 
 
@@ -373,7 +360,13 @@ def cube_root_oracle(G: LabeledGraph) -> RootResult:
         return RootResult.not_a_cube()
     if p >= 3 and is_complete(G):
         return RootResult.ambiguous_complete(tuple(matches))
-    return _enumerated_root(G, matches[0])
+    # the canonical orders of T's cube and of G carry one onto the other
+    order_t = _cube_canonical(matches[0])[1]
+    order_g = canonical_order(G)
+    vertex_map = [0] * p
+    for i, v in enumerate(order_t):
+        vertex_map[v] = order_g[i]
+    return RootResult.unique(matches[0], tuple(vertex_map))
 
 
 def is_tree_cube(G: LabeledGraph) -> bool:

@@ -219,6 +219,9 @@ def all_pairs_distances(G: LabeledGraph) -> DistanceMatrix:
 def is_connected(G: LabeledGraph) -> bool:
     if G.p <= 1:
         return True
+    # fewer than p - 1 edges cannot connect p vertices; skip the p x p BFS
+    if len(G.edges) < G.p - 1:
+        return False
     d = all_pairs_distances(G)
     return all(d.reachable(0, v) for v in range(1, G.p))
 

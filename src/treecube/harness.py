@@ -11,6 +11,7 @@ worker count.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -184,10 +185,6 @@ def _thm31_unit(T: Tree) -> tuple[int, list[dict]]:
     return checked, failures
 
 
-def _cube_cert_unit(T: Tree) -> str:
-    return canonical_form(power(T.graph, 3)).hex()
-
-
 def _lemma21_unit(T: Tree) -> tuple[int, list[dict]]:
     if diameter(T.graph) < 4:
         return 0, []
@@ -330,27 +327,13 @@ def _suite_thm31(max_order, workers):
 
 
 def _suite_thm32(max_order, workers):
-    checked = 0
-    failures = []
-    for p in range(1, max_order + 1):
-        trees = enumerate_trees(p)
-        certs = _map_units(_cube_cert_unit, trees, workers)
-        buckets: dict[str, list[int]] = {}
-        for i, cert in enumerate(certs):
-            buckets.setdefault(cert, []).append(i)
-        checked += len(trees) * (len(trees) - 1) // 2
-        for cert, idxs in sorted(buckets.items()):
-            if len(idxs) < 2:
-                continue
-            if is_complete(power(trees[idxs[0]].graph, 3)):
-                continue
-            for a in range(len(idxs)):
-                for b in range(a + 1, len(idxs)):
-                    failures.append({
-                        "tree1": canonical_form(trees[idxs[a]].graph).hex(),
-                        "tree2": canonical_form(trees[idxs[b]].graph).hex(),
-                        "power_certificate": cert,
-                    })
+    # every equal-order pair is checked; the failures are the cube collisions
+    checked = sum(math.comb(len(enumerate_trees(p)), 2) for p in range(1, max_order + 1))
+    failures = [{
+        "tree1": canonical_form(pair.tree1.graph).hex(),
+        "tree2": canonical_form(pair.tree2.graph).hex(),
+        "power_certificate": pair.power_certificate.hex(),
+    } for pair in collide(3, max_order, require_noncomplete=True, workers=workers).pairs]
     return checked, failures
 
 
@@ -375,16 +358,7 @@ def recognition_negative_corpus(max_order: int) -> list[LabeledGraph]:
     corpus = [cycle_graph(p) for p in range(4, max_order + 1)]
     if max_order >= 6:
         corpus.append(complete_bipartite_graph(3, 3))
-    rng = random.Random(NONCUBE_CORPUS_SEED + 1)
-    picked = 0
-    while picked < RECOGNITION_RANDOM_COUNT:
-        p = rng.randint(4, max_order)
-        G = random_connected_graph(rng, p)
-        if is_complete(G) or cube_root_oracle(G).kind is not RootKind.NOT_A_CUBE:
-            continue
-        corpus.append(G)
-        picked += 1
-    return corpus
+    return corpus + noncube_corpus(RECOGNITION_RANDOM_COUNT, max_order, NONCUBE_CORPUS_SEED + 1)
 
 
 def _suite_recognition_negative(max_order, workers):

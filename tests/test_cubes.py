@@ -23,6 +23,7 @@ from treecube.graphs import (
     diameter,
     is_complete,
     is_isomorphic,
+    parse_graph,
     path_graph,
     relabel,
     star_graph,
@@ -151,6 +152,11 @@ def test_cube_root_small_and_degenerate():
     assert cube_root(LabeledGraph(2, [(0, 1)])).tree.p == 2
     assert cube_root(LabeledGraph(0)).kind is RootKind.NOT_A_CUBE
     assert cube_root(LabeledGraph(3, [(0, 1)])).kind is RootKind.NOT_A_CUBE  # disconnected
+    # a header-only input has too few edges to be connected: no p x p
+    # distance matrix may be built for it
+    G = parse_graph("40000\n")
+    assert cube_root(G).kind is RootKind.NOT_A_CUBE
+    assert G._dist is None
 
 
 def test_cube_root_complete_roots_are_all_small_diameter_trees():
@@ -293,15 +299,30 @@ def relabeled_cube(T, rng):
 
 def test_cube_root_runs_no_canonical_labeling(monkeypatch):
     # symmetric roots whose certificates take the unpruned canonical search
-    # minutes: the labeled check must get by without one
+    # minutes, and non-cubes within the enumeration cap: the labeled check
+    # must get by without a canonical labeling or the tree enumeration
     import random
+    import treecube.cubes as cubes
     from treecube import _kernels
+    from treecube.harness import noncube_corpus
     from treecube.trees import ahu_code
 
-    def refuse(p, adj):
-        raise AssertionError("cube_root ran a canonical labeling")
+    near_cube = power(path_graph(12), 3)
+    non_cubes = [cycle_graph(12), LabeledGraph(12, near_cube.edges - {(4, 7)})]
+    non_cubes += noncube_corpus(4, 12)
+    for G in non_cubes:
+        assert G.p <= 12 and not is_complete(G)
+        assert cube_root_oracle(G).kind is RootKind.NOT_A_CUBE
+
+    def refuse(*args):
+        raise AssertionError("cube_root ran a canonical labeling or an enumeration")
 
     monkeypatch.setattr(_kernels, "canonical_labeling", refuse)
+    for name in ("enumerate_trees", "max_enumeration_order", "_cube_canonical"):
+        monkeypatch.setattr(cubes, name, refuse)
+    for G in non_cubes:
+        # a fresh copy, so the oracle's cached certificate cannot be reused
+        assert cube_root(LabeledGraph(G.p, G.edges)).kind is RootKind.NOT_A_CUBE
     rng = random.Random(7)
     for T in (spider(*[3] * 8), spider(*[3] * 10), complete_binary_tree(5),
               complete_binary_tree(6)):
@@ -325,16 +346,21 @@ def test_labeled_check_rejects_a_misplaced_vertex():
     assert not _is_labeled_cube(G, T, phi[:-1] + (phi[0],))
 
 
-def test_cube_root_needs_no_enumeration_fallback(monkeypatch):
+def test_cube_root_needs_no_enumeration_fallback():
+    # certifies the constructive pass at every order up to the default
+    # enumeration cap: each non-complete tree cube of order 5..12, under
+    # 3 seeded relabelings, gives back the planted root
     import random
-    import treecube.cubes as cubes
+    from treecube.trees import ahu_code
     rng = random.Random(11)
-    inputs = []
-    for p in range(5, 12):
+    for p in range(5, 13):
         for T in enumerate_trees(p):
-            if diameter(T.graph) >= 4:
-                inputs.extend(relabeled_cube(T, rng) for _ in range(3))
-    monkeypatch.setattr(cubes, "max_enumeration_order", lambda: 2)
-    for G in inputs:
-        assert cube_root(G).kind is RootKind.UNIQUE
-
+            if diameter(T.graph) < 4:
+                continue
+            code = ahu_code(T)
+            for _ in range(3):
+                G = relabeled_cube(T, rng)
+                r = cube_root(G)
+                assert r.kind is RootKind.UNIQUE
+                assert ahu_code(r.tree) == code
+                assert_maps_cube_onto(r, G)
