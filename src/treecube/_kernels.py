@@ -1,14 +1,17 @@
-"""Pure-Python kernels: BFS distances, canonical labeling, maximal cliques.
+"""Kernels: BFS distances, canonical labeling, maximal cliques.
 
 Adjacency is passed as a list of integer bitmasks (``adj[v]`` has bit ``u``
 set iff ``u`` and ``v`` are adjacent). All functions are deterministic and
-label-independent where they claim to be; the compiled backend in
-``_ckern.pyx`` must produce byte-identical results.
+label-independent where they claim to be. Callers look the kernels up on
+this module at call time, so a tracer or a test can wrap them here.
 """
 
 from __future__ import annotations
 
-BACKEND = "python"
+
+def backend_name() -> str:
+    """Always ``"python"``: the pure-Python kernels are the only backend."""
+    return "python"
 
 
 def all_pairs_distances(p: int, adj: list[int]) -> list[list[int]]:

@@ -219,11 +219,21 @@ def all_pairs_distances(G: LabeledGraph) -> DistanceMatrix:
 def is_connected(G: LabeledGraph) -> bool:
     if G.p <= 1:
         return True
-    # fewer than p - 1 edges cannot connect p vertices; skip the p x p BFS
+    # fewer than p - 1 edges cannot connect p vertices
     if len(G.edges) < G.p - 1:
         return False
-    d = all_pairs_distances(G)
-    return all(d.reachable(0, v) for v in range(1, G.p))
+    # one bitmask BFS from vertex 0; the distance matrix stays unbuilt
+    adj = G._adj
+    seen = frontier = 1
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen == (1 << G.p) - 1
 
 
 def power(G: LabeledGraph, k: int) -> LabeledGraph:
@@ -344,6 +354,12 @@ def isomorphism(G: LabeledGraph, H: LabeledGraph) -> dict[int, int] | None:
 
 # ── text formats ──────────────────────────────────────────────────────
 
+# Largest vertex count an edge-list header may declare. The graph allocates
+# per-vertex state before any edge is read, so an unbounded header would let a
+# few bytes of input demand gigabytes. (graph6 needs no cap: its payload length
+# already ties the order to the input size.)
+MAX_EDGELIST_ORDER = 1 << 20
+
 
 def to_edgelist(G: LabeledGraph) -> str:
     """Native format: vertex count line, then one "u v" line per edge."""
@@ -369,6 +385,9 @@ def _parse_edgelist(text: str) -> LabeledGraph:
         raise GraphParseError(f"expected vertex count, got {header!r}", line=header_no) from None
     if p < 0:
         raise GraphParseError("vertex count must be non-negative", line=header_no)
+    if p > MAX_EDGELIST_ORDER:
+        raise GraphParseError(
+            f"vertex count {p} exceeds the edge-list limit {MAX_EDGELIST_ORDER}", line=header_no)
     edges = []
     seen = set()
     for no, raw in enumerate(lines[header_no:], start=header_no + 1):

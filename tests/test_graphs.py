@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import bfs_distances_oracle, brute_force_isomorphic, all_free_trees_brute
 from treecube.errors import DisconnectedError, GraphParseError
 from treecube.graphs import (
+    MAX_EDGELIST_ORDER,
     CanonicalForm,
     LabeledGraph,
     all_pairs_distances,
@@ -88,6 +89,16 @@ def test_parse_rejects_duplicates_and_garbage():
         parse_graph("")
     with pytest.raises(GraphParseError):
         parse_graph("3\n0 1 2")
+
+
+def test_parse_caps_the_edgelist_header():
+    # the header is checked before any per-vertex state is allocated
+    with pytest.raises(GraphParseError) as exc:
+        parse_graph("\n1000000000\n")
+    assert exc.value.line == 2
+    with pytest.raises(GraphParseError):
+        parse_graph(f"{MAX_EDGELIST_ORDER + 1}\n")
+    assert parse_graph("40000\n").p == 40000
 
 
 def test_edgelist_round_trip():
@@ -314,6 +325,15 @@ def test_certificate_hex_round_trip():
     c = canonical_form(cycle_graph(5))
     assert CanonicalForm.from_hex(c.hex()) == c
     assert c.order == 5
+
+
+def test_is_connected_runs_one_bfs():
+    G = path_graph(2000)
+    assert is_connected(G)
+    assert G._dist is None  # no p x p distance matrix
+    # enough edges to pass the edge-count shortcut, yet disconnected
+    H = LabeledGraph(5, complete_graph(4).edges)
+    assert len(H.edges) >= H.p - 1 and not is_connected(H)
 
 
 def test_delete_vertex_relabels_densely():

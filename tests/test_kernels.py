@@ -1,18 +1,9 @@
-"""Backend parity: the compiled kernels must match the pure-Python ones byte
-for byte on every graph they both handle."""
+"""The pure-Python kernels on a fixed corpus, and the names callers rely on."""
 
 import itertools
 import random
 
-import pytest
-
 from treecube import _kernels
-from treecube._kernels import pykern
-
-ckern = _kernels._ckern
-
-requires_compiled = pytest.mark.skipif(
-    ckern is None, reason="compiled kernel extension not built")
 
 
 def adj_masks(p, edges):
@@ -43,33 +34,14 @@ def corpus():
 CORPUS = corpus()
 
 
-@requires_compiled
-def test_backend_parity_on_corpus():
-    for p, edges in CORPUS:
-        a = adj_masks(p, edges)
-        assert pykern.all_pairs_distances(p, a) == ckern.all_pairs_distances(p, a)
-        pb, pp = pykern.canonical_labeling(p, a)
-        cb, cp = ckern.canonical_labeling(p, a)
-        assert pb == cb and pp == cp
-        assert pykern.maximal_cliques(p, a) == ckern.maximal_cliques(p, a)
+def test_backend_is_pure_python():
+    assert _kernels.backend_name() == "python"
 
 
-@requires_compiled
-def test_dispatcher_prefers_compiled_for_small_orders():
-    assert _kernels.backend_name(10) == "cython"
-    assert _kernels.backend_name(65) == "python"
-
-
-def test_pure_python_forced_by_env():
-    import os
-    import subprocess
-    import sys
-    code = ("import treecube._kernels as k; "
-            "print(k.backend_name(10), k.COMPILED_AVAILABLE)")
-    env = {"TREECUBE_PURE_PYTHON": "1", "PATH": "/usr/bin:/bin",
-           "PYTHONPATH": os.environ.get("PYTHONPATH", "")}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.stdout.split() == ["python", "False"]
+def test_kernel_names_stay_on_the_module():
+    # callers and the benchmark tracer look these up on treecube._kernels
+    for name in ("canonical_labeling", "all_pairs_distances", "maximal_cliques"):
+        assert callable(getattr(_kernels, name))
 
 
 def test_python_kernels_handle_large_orders():
@@ -88,7 +60,7 @@ def test_canonical_labeling_realizes_bits():
         if p == 0:
             continue
         a = adj_masks(p, edges)
-        bits, perm = pykern.canonical_labeling(p, a)
+        bits, perm = _kernels.canonical_labeling(p, a)
         out = bytearray()
         acc = nbits = 0
         for i in range(p):
@@ -106,5 +78,5 @@ def test_canonical_labeling_realizes_bits():
 
 def test_bfs_unreachable_marker():
     a = adj_masks(4, [(0, 1), (2, 3)])
-    d = pykern.all_pairs_distances(4, a)
+    d = _kernels.all_pairs_distances(4, a)
     assert d[0][2] == -1 and d[1][3] == -1 and d[0][1] == 1
