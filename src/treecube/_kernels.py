@@ -42,7 +42,8 @@ def all_pairs_distances(p: int, adj: list[int]) -> list[list[int]]:
     return dist
 
 
-def _bits(mask: int) -> list[int]:
+def bits(mask: int) -> list[int]:
+    """The set bits of ``mask`` in increasing order."""
     out = []
     while mask:
         v = (mask & -mask).bit_length() - 1
@@ -60,7 +61,7 @@ def _refine(p: int, adj: list[int], colors: list[int]) -> list[int]:
         sigs = []
         for v in range(p):
             counts = [0] * k
-            for u in _bits(adj[v]):
+            for u in bits(adj[v]):
                 counts[colors[u]] += 1
             sigs.append((colors[v], tuple(counts)))
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
@@ -124,9 +125,9 @@ def _canon_search(p: int, adj: list[int], colors: list[int],
     cells = _cells_of(p, colors)
     if all(len(c) == 1 for c in cells) or _is_homogeneous(adj, cells):
         perm = [v for cell in cells for v in cell]
-        bits = _emit(p, adj, perm)
-        if best[0] is None or bits < best[0]:
-            best[0] = bits
+        code = _emit(p, adj, perm)
+        if best[0] is None or code < best[0]:
+            best[0] = code
             best[1] = perm
         return
     # Branch on the smallest non-singleton cell (ties: lowest color).
@@ -182,5 +183,5 @@ def maximal_cliques(p: int, adj: list[int]) -> list[int]:
 
     if p:
         bk(0, (1 << p) - 1, 0)
-    out.sort(key=_bits)
+    out.sort(key=bits)
     return out

@@ -35,9 +35,10 @@ def _write(text: str, path: str | None) -> None:
         Path(path).write_text(text)
 
 
-def _write_json(payload: dict, path: str | None) -> None:
+def _write_json(result, path: str | None) -> None:
+    # serialize only on request: a root's certificate is a canonical labeling
     if path:
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        Path(path).write_text(json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_power(args) -> int:
@@ -50,7 +51,7 @@ def _cmd_power(args) -> int:
 def _cmd_root(args) -> int:
     G = parse_graph(_read(args.input), fmt=args.format)
     result = cube_root(G)
-    _write_json(result.to_dict(), args.json)
+    _write_json(result, args.json)
     if result.kind is RootKind.UNIQUE:
         print("unique root")
         print("  edges:", result.tree.graph.edge_list())
@@ -59,8 +60,6 @@ def _cmd_root(args) -> int:
         print(f"complete graph: ambiguous root ({len(result.roots)} trees of diameter < 4)")
         for T in result.roots:
             print("  edges:", T.graph.edge_list())
-        if not result.roots_enumerated:
-            print("  (roots not enumerated: order exceeds the enumeration cap)")
         return EXIT_PASS
     print("not the cube of a tree")
     return EXIT_FAIL
@@ -75,7 +74,7 @@ def _cmd_deck(args) -> int:
 def _cmd_reconstruct(args) -> int:
     S = parse_deck(_read(args.input))
     report = reconstruct(S)
-    _write_json(report.to_dict(), args.json)
+    _write_json(report, args.json)
     for step in report.trace:
         print("*", step)
     if report.recognized:
@@ -99,7 +98,7 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = run_suite(args.suite, args.max_order, workers=args.workers)
-    _write_json(report.to_dict(), args.json)
+    _write_json(report, args.json)
     print(f"suite {report.suite}  max order {report.max_order}  "
           f"checked {report.checked}  failures {len(report.failures)}  "
           f"elapsed {report.elapsed:.2f}s")
@@ -111,7 +110,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_collide(args) -> int:
     result = collide(args.n, args.max_order, args.require_noncomplete, workers=args.workers)
-    _write_json(result.to_dict(), args.json)
+    _write_json(result, args.json)
     print(f"power {result.n}  max order {result.max_order}  "
           f"{len(result.pairs)} colliding pair(s)")
     for pair in result.pairs:

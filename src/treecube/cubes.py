@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import _kernels
-from .errors import AmbiguousStructureError, EnumerationLimitError, NotACubeError
+from .errors import AmbiguousStructureError, NotACubeError
 from .graphs import (
     CanonicalForm,
     LabeledGraph,
@@ -37,11 +37,11 @@ from .trees import (
     Tree,
     WeightedTree,
     core_vertices,
+    end_deleted,
     enumerate_trees,
     expand,
     leaf_orders,
     leaves,
-    max_enumeration_order,
 )
 
 
@@ -67,16 +67,13 @@ class RootResult:
     the input graph that root vertex ``v`` stands for: the cube of ``tree``,
     relabeled through that map, is the input graph edge for edge. For
     complete inputs on at least 3 vertices, ``roots`` lists every diameter-<=3
-    tree of that order (the star, then the double stars);
-    ``roots_enumerated`` is False when the order exceeds the enumeration cap
-    and the list was left empty. The vertex map is not serialized and takes
-    no part in equality.
+    tree of that order (the star, then the double stars). The vertex map is
+    not serialized and takes no part in equality.
     """
 
     kind: RootKind
     tree: Tree | None = None
     roots: tuple[Tree, ...] = ()
-    roots_enumerated: bool = True
     vertex_map: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
@@ -84,8 +81,8 @@ class RootResult:
         return cls(RootKind.UNIQUE, tree=tree, vertex_map=vertex_map)
 
     @classmethod
-    def ambiguous_complete(cls, roots: tuple[Tree, ...], enumerated: bool = True) -> "RootResult":
-        return cls(RootKind.AMBIGUOUS_COMPLETE, roots=roots, roots_enumerated=enumerated)
+    def ambiguous_complete(cls, roots: tuple[Tree, ...]) -> "RootResult":
+        return cls(RootKind.AMBIGUOUS_COMPLETE, roots=roots)
 
     @classmethod
     def not_a_cube(cls) -> "RootResult":
@@ -97,7 +94,6 @@ class RootResult:
             out["root_edges"] = self.tree.graph.edge_list()
             out["root_certificate"] = canonical_form(self.tree.graph).hex()
         if self.kind is RootKind.AMBIGUOUS_COMPLETE:
-            out["roots_enumerated"] = self.roots_enumerated
             out["roots"] = [T.graph.edge_list() for T in self.roots]
             out["root_certificates"] = [canonical_form(T.graph).hex() for T in self.roots]
         return out
@@ -105,15 +101,7 @@ class RootResult:
 
 def maximal_cliques(G: LabeledGraph) -> list[frozenset[int]]:
     """All inclusion-maximal cliques, in a deterministic order."""
-    masks = _kernels.maximal_cliques(G.p, G._adj)
-    out = []
-    for m in masks:
-        members = []
-        while m:
-            members.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        out.append(frozenset(members))
-    return out
+    return [frozenset(_kernels.bits(m)) for m in _kernels.maximal_cliques(G.p, G._adj)]
 
 
 def clique_edges_of_tree(T: Tree) -> frozenset[tuple[int, int]]:
@@ -206,16 +194,9 @@ def _constructive_root(G: LabeledGraph) -> tuple[Tree, tuple[int, ...]] | None:
             if len(cliques[i] & cliques[j]) >= 3:
                 overlap[i] |= 1 << j
                 overlap[j] |= 1 << i
-    class_masks = _kernels.maximal_cliques(m, overlap)
-    classes: list[list[int]] = []
-    for mask in class_masks:
-        members = []
-        while mask:
-            members.append((mask & -mask).bit_length() - 1)
-            mask &= mask - 1
-        if len(members) < 2:
-            return None
-        classes.append(members)
+    classes = [_kernels.bits(mask) for mask in _kernels.maximal_cliques(m, overlap)]
+    if any(len(members) < 2 for members in classes):
+        return None
     for i in range(len(classes)):
         si = set(classes[i])
         for j in range(i + 1, len(classes)):
@@ -327,8 +308,7 @@ def cube_root(G: LabeledGraph) -> RootResult:
     every root vertex on a vertex of G, and the candidate is accepted only by
     labeled recubing, exact edge equality between its cube and G on G's own
     vertices. No canonical labeling or tree enumeration is involved, so the
-    call is polynomial and a negative answer means the same below and above
-    the enumeration cap.
+    call is polynomial and every answer means the same at every order.
     """
     p = G.p
     if p == 0 or not is_connected(G):
@@ -337,8 +317,6 @@ def cube_root(G: LabeledGraph) -> RootResult:
         root = Tree(LabeledGraph(p, [(0, 1)] if p == 2 else []))
         return RootResult.unique(root, tuple(range(p)))
     if is_complete(G):
-        if p > max_enumeration_order():
-            return RootResult.ambiguous_complete((), enumerated=False)
         return RootResult.ambiguous_complete(_complete_roots(p))
     found = _constructive_root(G)
     if found is not None and _is_labeled_cube(G, *found):
@@ -347,15 +325,17 @@ def cube_root(G: LabeledGraph) -> RootResult:
 
 
 def cube_root_oracle(G: LabeledGraph) -> RootResult:
-    """Brute-force root extraction: test every tree of the same order."""
+    """Brute-force root extraction: test every tree of the same order.
+
+    Above the enumeration cap ``enumerate_trees`` refuses a connected graph
+    before any canonical labeling runs.
+    """
     p = G.p
-    if p > max_enumeration_order():
-        raise EnumerationLimitError(
-            f"oracle needs the tree enumeration, capped at {max_enumeration_order()}")
     if p == 0 or not is_connected(G):
         return RootResult.not_a_cube()
+    trees = enumerate_trees(p)
     target = canonical_form(G)
-    matches = [T for T in enumerate_trees(p) if _cube_canonical(T)[0] == target]
+    matches = [T for T in trees if _cube_canonical(T)[0] == target]
     if not matches:
         return RootResult.not_a_cube()
     if p >= 3 and is_complete(G):
@@ -381,9 +361,7 @@ def tree_of_cliques(G: LabeledGraph) -> Tree:
     r = cube_root(G)
     if r.kind is RootKind.NOT_A_CUBE:
         raise NotACubeError("input graph is not the cube of a tree")
-    skeleton, _ = induced_subgraph(
-        r.tree.graph, sorted(set(range(r.tree.p)) - leaves(r.tree)))
-    return Tree(skeleton)
+    return end_deleted(r.tree)
 
 
 def terminal_vertices(G: LabeledGraph) -> frozenset[int]:

@@ -50,12 +50,7 @@ class LabeledGraph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
-        m = self._adj[v]
-        out = []
-        while m:
-            out.append((m & -m).bit_length() - 1)
-            m &= m - 1
-        return tuple(out)
+        return tuple(_kernels.bits(self._adj[v]))
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)

@@ -391,8 +391,6 @@ def run_suite(suite: str, max_order: int | None = None, workers: int | None = 1)
         max_order = DEFAULT_MAX_ORDER[suite]
     if max_order < 1:
         raise ValueError("max order must be at least 1")
-    # warm the enumeration before forking so workers inherit it
-    enumerate_trees(min(max_order, 10))
     start = time.perf_counter()
     checked, failures = _SUITE_FNS[suite](max_order, workers)
     elapsed = time.perf_counter() - start

@@ -52,13 +52,39 @@ def test_root_unique(tmp_path, capsys):
     assert main(["root", src, "--json", str(report)]) == 0
     assert "unique root" in capsys.readouterr().out
     payload = json.loads(report.read_text())
-    assert payload["kind"] == "unique"
+    assert payload["kind"] == "unique" and payload["root_certificate"]
 
 
-def test_root_ambiguous_and_not_a_cube(tmp_path, capsys):
+def test_root_without_json_runs_no_canonical_labeling(tmp_path, capsys, monkeypatch):
+    # the root certificate is a canonical labeling, which the unpruned search
+    # makes slow on symmetric roots; only --json may ask for it
+    import random
+    from treecube import _kernels
+    from treecube.graphs import LabeledGraph, relabel
+
+    def refuse(*args):
+        raise AssertionError("root ran a canonical labeling without --json")
+
+    legs = [(0, 1 + 3 * i) for i in range(8)]
+    legs += [(1 + 3 * i + j, 2 + 3 * i + j) for i in range(8) for j in range(2)]
+    perm = list(range(25))
+    random.Random(5).shuffle(perm)
+    src = write_graph(tmp_path, "spider.txt", relabel(power(LabeledGraph(25, legs), 3), perm))
+    monkeypatch.setattr(_kernels, "canonical_labeling", refuse)
+    assert main(["root", src]) == 0
+    assert "unique root" in capsys.readouterr().out
+
+
+def test_root_ambiguous_and_not_a_cube(tmp_path, capsys, monkeypatch):
     src = write_graph(tmp_path, "k4.txt", complete_graph(4))
     assert main(["root", src]) == 0
     assert "ambiguous" in capsys.readouterr().out
+    # above the default enumeration cap every root is still listed
+    monkeypatch.delenv("TREECUBE_MAX_ORDER", raising=False)
+    src = write_graph(tmp_path, "k13.txt", complete_graph(13))
+    assert main(["root", src]) == 0
+    out = capsys.readouterr().out
+    assert "(6 trees of diameter < 4)" in out and out.count("edges:") == 6
     src = write_graph(tmp_path, "c6.txt", cycle_graph(6))
     assert main(["root", src]) == 1
     assert "not the cube" in capsys.readouterr().out

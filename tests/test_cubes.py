@@ -140,7 +140,7 @@ def test_cube_root_examples():
     assert is_isomorphic(r.tree.graph, path_graph(5))
 
     r = cube_root(complete_graph(4))
-    assert r.kind is RootKind.AMBIGUOUS_COMPLETE and r.roots_enumerated
+    assert r.kind is RootKind.AMBIGUOUS_COMPLETE
     certs = {canonical_form(T.graph) for T in r.roots}
     assert certs == {canonical_form(path_graph(4)), canonical_form(star_graph(4))}
 
@@ -171,11 +171,24 @@ def test_cube_root_complete_roots_are_all_small_diameter_trees():
             assert is_complete(power(T.graph, 3))
 
 
-def test_cube_root_beyond_cap_flags_unenumerated_roots(monkeypatch):
-    monkeypatch.setenv("TREECUBE_MAX_ORDER", "6")
-    r = cube_root(complete_graph(8))
-    assert r.kind is RootKind.AMBIGUOUS_COMPLETE
-    assert not r.roots_enumerated and r.roots == ()
+def test_cube_root_complete_roots_at_every_order(monkeypatch):
+    # the closed form needs no enumeration, so the cap cannot change the answer
+    import treecube.cubes as cubes
+    from treecube.trees import ahu_code
+    monkeypatch.delenv("TREECUBE_MAX_ORDER", raising=False)
+    for p in range(13, 41):
+        r = cube_root(complete_graph(p))
+        assert r.kind is RootKind.AMBIGUOUS_COMPLETE
+        assert len(r.roots) == (p - 2) // 2 + 1
+        assert r.roots[0].graph.edges == star_graph(p).edges
+        for T in r.roots:
+            assert diameter(T.graph) <= 3
+            assert is_complete(power(T.graph, 3))
+        assert len({ahu_code(T) for T in r.roots}) == len(r.roots)
+        monkeypatch.setenv("TREECUBE_MAX_ORDER", "3")
+        cubes._complete_roots.cache_clear()
+        assert cube_root(complete_graph(p)) == r
+        monkeypatch.delenv("TREECUBE_MAX_ORDER")
 
 
 def assert_maps_cube_onto(r, G):
@@ -196,9 +209,18 @@ def test_cube_root_oracle_matches_and_limits(monkeypatch):
             assert is_isomorphic(a.tree.graph, b.tree.graph)
             assert_maps_cube_onto(a, G)
             assert_maps_cube_onto(b, G)
+    # above the cap the enumeration refuses before any canonical labeling
+    from treecube import _kernels
+
+    def refuse(*args):
+        raise AssertionError("the oracle ran a canonical labeling above the cap")
+
     monkeypatch.setenv("TREECUBE_MAX_ORDER", "6")
-    with pytest.raises(EnumerationLimitError):
-        cube_root_oracle(complete_graph(7))
+    monkeypatch.setattr(_kernels, "canonical_labeling", refuse)
+    for G in (complete_graph(7), path_graph(7)):
+        with pytest.raises(EnumerationLimitError):
+            cube_root_oracle(G)
+    assert cube_root_oracle(LabeledGraph(7)).kind is RootKind.NOT_A_CUBE
 
 
 def test_unique_root_verifies_by_recubing():
@@ -318,7 +340,8 @@ def test_cube_root_runs_no_canonical_labeling(monkeypatch):
         raise AssertionError("cube_root ran a canonical labeling or an enumeration")
 
     monkeypatch.setattr(_kernels, "canonical_labeling", refuse)
-    for name in ("enumerate_trees", "max_enumeration_order", "_cube_canonical"):
+    assert not hasattr(cubes, "max_enumeration_order")
+    for name in ("enumerate_trees", "_cube_canonical"):
         monkeypatch.setattr(cubes, name, refuse)
     for G in non_cubes:
         # a fresh copy, so the oracle's cached certificate cannot be reused

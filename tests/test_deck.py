@@ -111,6 +111,20 @@ def test_reconstruct_examples():
     assert not report.recognized and report.graph is None
 
 
+def test_reconstruct_uses_complete_card_roots_above_the_cap():
+    # a star on 0 with the path 0-12-13-14: deleting 14 leaves K14, whose
+    # roots (the star and six double stars) are fed to reconstruction even
+    # though 14 exceeds the default enumeration cap
+    T = Tree(LabeledGraph(15, [(0, v) for v in range(1, 13)] + [(12, 13), (13, 14)]))
+    G = power(T.graph, 3)
+    assert not is_complete(G) and is_complete(delete_vertex(G, 14))
+    k14 = canonical_form(complete_graph(14))
+    complete_cards = [sc for sc in select_cube_cards(deck(G)).selected if sc.card == k14]
+    assert len(complete_cards) == 1 and len(complete_cards[0].roots) == 7
+    report = reconstruct(deck(G))
+    assert report.recognized and is_isomorphic(report.graph, G)
+
+
 def test_reconstruct_order_too_small():
     with pytest.raises(OrderTooSmallError):
         reconstruct(deck(LabeledGraph(2, [(0, 1)])))
