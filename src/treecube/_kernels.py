@@ -92,7 +92,7 @@ def _is_homogeneous(adj: list[int], cells: list[list[int]]) -> bool:
     for c, members in enumerate(cells):
         v0 = members[0]
         for c2, members2 in enumerate(cells):
-            cnt = bin(adj[v0] & masks[c2]).count("1")
+            cnt = (adj[v0] & masks[c2]).bit_count()
             full = len(members2) - 1 if c2 == c else len(members2)
             if cnt != 0 and cnt != full:
                 return False
@@ -119,24 +119,102 @@ def _emit(p: int, adj: list[int], perm: list[int]) -> bytes:
     return bytes(out)
 
 
+class _Search:
+    # The first leaf (code, perm, path), the best leaf (code, perm), and the
+    # automorphisms found so far as vertex maps.
+    __slots__ = ("first", "first_perm", "first_path", "best", "best_perm", "autos")
+
+    def __init__(self) -> None:
+        self.first = self.first_perm = self.first_path = None
+        self.best = self.best_perm = None
+        self.autos: list[list[int]] = []
+
+
+def _leaf(code: bytes, perm: list[int], path: list[int], st: _Search) -> int | None:
+    # Record a leaf. Returns the depth to jump back to, or None.
+    if st.first is None:
+        st.first = st.best = code
+        st.first_perm = st.best_perm = perm
+        st.first_path = list(path)
+        return None
+    if code < st.best:
+        st.best = code
+        st.best_perm = perm
+        return None
+    if code == st.first:
+        ref = st.first_perm
+    elif code == st.best:
+        ref = st.best_perm
+    else:
+        return None
+    if perm == ref:
+        return None
+    # Equal codes: perm[i] -> ref[i] is an automorphism.
+    gamma = [0] * len(perm)
+    for u, w in zip(perm, ref):
+        gamma[u] = w
+    st.autos.append(gamma)
+    if ref is not st.first_perm:
+        return None
+    # gamma fixes the common prefix of the two paths and sends this path's
+    # next vertex onto the first path's: the rest of this branch is the image
+    # of the first path's branch, which is fully searched.
+    first = st.first_path
+    d = 0
+    while path[d] == first[d]:
+        d += 1
+    if gamma[path[d]] == first[d] and all(gamma[v] == v for v in path[:d]):
+        return d
+    return None
+
+
 def _canon_search(p: int, adj: list[int], colors: list[int],
-                  best: list) -> None:
+                  path: list[int], st: _Search) -> int | None:
     colors = _refine(p, adj, colors)
     cells = _cells_of(p, colors)
     if all(len(c) == 1 for c in cells) or _is_homogeneous(adj, cells):
         perm = [v for cell in cells for v in cell]
-        code = _emit(p, adj, perm)
-        if best[0] is None or code < best[0]:
-            best[0] = code
-            best[1] = perm
-        return
-    # Branch on the smallest non-singleton cell (ties: lowest color).
+        return _leaf(_emit(p, adj, perm), perm, path, st)
+    # Branch on the smallest non-singleton cell (ties: lowest color). A vertex
+    # is skipped when an automorphism fixing the path maps an earlier vertex
+    # of the cell onto it: its branch then repeats that vertex's codes.
     target = min((c for c in cells if len(c) > 1), key=len)
     fresh = len(cells)
+    twins: set[int] = set()
+    orbit = list(range(p))  # union-find, each root the least vertex of its orbit
+    used = 0
+
+    def find(v: int) -> int:
+        while orbit[v] != v:
+            orbit[v] = orbit[orbit[v]]
+            v = orbit[v]
+        return v
+
     for v in target:
+        # Open or closed twins are swapped by a transposition.
+        nbrs = adj[v]
+        closed = nbrs | 1 << v
+        if nbrs in twins or closed in twins:
+            continue
+        twins.add(nbrs)
+        twins.add(closed)
+        for gamma in st.autos[used:]:
+            if all(gamma[u] == u for u in path):
+                for u in range(p):
+                    a, b = find(u), find(gamma[u])
+                    if a != b:
+                        orbit[max(a, b)] = min(a, b)
+        used = len(st.autos)
+        if find(v) != v:
+            continue
         branch = list(colors)
         branch[v] = fresh
-        _canon_search(p, adj, branch, best)
+        path.append(v)
+        back = _canon_search(p, adj, branch, path, st)
+        path.pop()
+        if back is not None and back < len(path):
+            return back
+    return None
 
 
 def canonical_labeling(p: int, adj: list[int]) -> tuple[bytes, list[int]]:
@@ -145,12 +223,19 @@ def canonical_labeling(p: int, adj: list[int]) -> tuple[bytes, list[int]]:
     Returns ``(bits, perm)`` where ``perm[i]`` is the input vertex placed at
     canonical position ``i``. ``bits`` is equal for two graphs iff they are
     isomorphic; ``perm`` is one labeling achieving the minimum.
+
+    The search skips twins in the target cell, vertices in the orbit of an
+    earlier one under the automorphisms found so far that fix the path, and
+    the rest of a branch whose leaf repeats the first leaf (see
+    ``_canon_search``). Each skipped branch yields only codes already seen, so
+    ``bits`` and ``perm`` are those of the search without pruning: the first
+    leaf, in depth-first order, with the least code.
     """
     if p == 0:
         return b"", []
-    best: list = [None, None]
-    _canon_search(p, adj, [0] * p, best)
-    return best[0], best[1]
+    st = _Search()
+    _canon_search(p, adj, [0] * p, [], st)
+    return st.best, st.best_perm
 
 
 def maximal_cliques(p: int, adj: list[int]) -> list[int]:
@@ -168,7 +253,7 @@ def maximal_cliques(p: int, adj: list[int]) -> list[int]:
         while m:
             u = (m & -m).bit_length() - 1
             m &= m - 1
-            cnt = bin(cand & adj[u]).count("1")
+            cnt = (cand & adj[u]).bit_count()
             if cnt > pivot_cnt:
                 pivot_cnt = cnt
                 pivot = u

@@ -54,7 +54,7 @@ class LabeledGraph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return bin(self._adj[v]).count("1")
+        return self._adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)

@@ -106,6 +106,20 @@ def test_deck_then_reconstruct_round_trip(tmp_path, capsys):
     assert is_isomorphic(parse_graph(out_graph.read_text()), G)
 
 
+def test_deck_and_reconstruct_on_symmetric_cube(tmp_path, capsys):
+    # one canonical labeling per card: the cube of the depth-4 complete binary
+    # tree is symmetric enough to stall a search without automorphism pruning
+    from treecube.graphs import LabeledGraph, is_isomorphic
+    G = power(LabeledGraph(31, [((v - 1) // 2, v) for v in range(1, 31)]), 3)
+    src = write_graph(tmp_path, "g.txt", G)
+    deck_file = tmp_path / "deck.txt"
+    assert main(["deck", src, "-o", str(deck_file)]) == 0
+    out_graph = tmp_path / "rec.txt"
+    assert main(["reconstruct", str(deck_file), "-o", str(out_graph)]) == 0
+    assert "recognized: reconstruction is unique" in capsys.readouterr().out
+    assert is_isomorphic(parse_graph(out_graph.read_text()), G)
+
+
 def test_reconstruct_rejects_non_cube_deck(tmp_path, capsys):
     deck_file = tmp_path / "deck.txt"
     deck_file.write_text(deck_to_text(deck(cycle_graph(6))))

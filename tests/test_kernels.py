@@ -14,9 +14,21 @@ def adj_masks(p, edges):
     return a
 
 
+def symmetric_corpus():
+    """Vertex-transitive graphs, as (name, p, edges)."""
+    petersen = [(i, (i + 1) % 5) for i in range(5)]
+    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, 5 + i) for i in range(5)]
+    q4 = [(u, u ^ 1 << b) for u in range(16) for b in range(4) if u < u ^ 1 << b]
+    k55 = [(i, 5 + j) for i in range(5) for j in range(5)]
+    c15 = [(i, (i + 1) % 15) for i in range(15)]
+    triangles = [(3 * i + a, 3 * i + b) for i in range(4) for a, b in ((0, 1), (1, 2), (0, 2))]
+    return [("petersen", 10, petersen), ("Q4", 16, q4), ("K5,5", 10, k55),
+            ("C15", 15, c15), ("4K3", 12, triangles)]
+
+
 def corpus():
     rng = random.Random(101)
-    out = []
+    out = [(p, edges) for _, p, edges in symmetric_corpus()]
     for p in range(0, 12):
         path = [(i, i + 1) for i in range(p - 1)]
         out.append((p, path))
@@ -74,6 +86,53 @@ def test_canonical_labeling_realizes_bits():
         if nbits:
             out.append(acc << (8 - nbits))
         assert bytes(out) == bits
+
+
+def test_canonical_bits_equal_across_relabelings():
+    rng = random.Random(7)
+    for name, p, edges in symmetric_corpus():
+        want, _ = _kernels.canonical_labeling(p, adj_masks(p, edges))
+        for _ in range(4):
+            perm = list(range(p))
+            rng.shuffle(perm)
+            got, _ = _kernels.canonical_labeling(p, adj_masks(p, [(perm[u], perm[v]) for u, v in edges]))
+            assert got == want, name
+
+
+def binary_tree(depth):
+    p = 2 ** (depth + 1) - 1
+    return p, [((v - 1) // 2, v) for v in range(1, p)]
+
+
+def spider(legs, length=3):
+    edges = [(0 if j == 0 else 1 + length * i + j - 1, 1 + length * i + j)
+             for i in range(legs) for j in range(length)]
+    return 1 + legs * length, edges
+
+
+def cube_edges(p, edges):
+    dist = _kernels.all_pairs_distances(p, adj_masks(p, edges))
+    return [(u, v) for u in range(p) for v in range(u + 1, p) if dist[u][v] <= 3]
+
+
+def test_search_nodes_stay_bounded_on_symmetric_trees(monkeypatch):
+    # Without twin and automorphism pruning these searches branch factorially
+    # (the depth-5 binary tree's cube passes 15,000 nodes, the 10-leg spider
+    # 70,000); the bound counts search nodes, so it does not depend on speed.
+    search = _kernels._canon_search
+    nodes = [0]
+
+    def counted(*args):
+        nodes[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(_kernels, "_canon_search", counted)
+    for name, (p, edges) in [("binary-4", binary_tree(4)), ("binary-5", binary_tree(5)),
+                             ("spider-8", spider(8)), ("spider-10", spider(10))]:
+        for kind, es in (("tree", edges), ("cube", cube_edges(p, edges))):
+            nodes[0] = 0
+            _kernels.canonical_labeling(p, adj_masks(p, es))
+            assert nodes[0] <= 500, (name, kind, nodes[0])
 
 
 def test_bfs_unreachable_marker():
