@@ -22,7 +22,6 @@ from .cubes import (
     tree_of_cliques,
 )
 from .deck import (
-    CardSelection,
     Deck,
     ReconstructionReport,
     SelectedCard,
@@ -33,7 +32,6 @@ from .deck import (
     recognize,
     reconstruct,
     select_cube_cards,
-    tree_from_endpoint_deck,
 )
 from .errors import (
     AmbiguousStructureError,
@@ -41,7 +39,6 @@ from .errors import (
     EnumerationLimitError,
     GraphParseError,
     NotACubeError,
-    NotATreeDeckError,
     NotATreeError,
     OrderTooSmallError,
     TreecubeError,
@@ -101,6 +98,7 @@ from .trees import (
     is_tree,
     k_periphery,
     kth_order_terminal_edges,
+    leaf_extensions,
     leaf_orders,
     leaves,
     max_enumeration_order,

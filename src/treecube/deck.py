@@ -3,8 +3,9 @@
 Cards are stored as certificates (a deck is unlabeled by definition); the
 certificate encoding is invertible, so card graphs are recovered on demand.
 Reconstruction selects the cards that are tree cubes, extends the roots of
-one card by a fresh leaf in every position (the reconstruction black box),
-and accepts the first candidate whose cube reproduces the full deck.
+every selected card by a fresh leaf in every position (the reconstruction
+black box), and accepts the first candidate whose cube reproduces the full
+deck.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cubes import RootKind, cube_root
-from .errors import GraphParseError, NotATreeDeckError, OrderTooSmallError
+from .errors import GraphParseError, OrderTooSmallError
 from .graphs import (
     CanonicalForm,
     LabeledGraph,
@@ -24,7 +25,7 @@ from .graphs import (
     serialize_graph,
     star_graph,
 )
-from .trees import Tree, leaves
+from .trees import Tree, leaf_extensions
 
 
 @dataclass(frozen=True)
@@ -66,18 +67,8 @@ class SelectedCard:
     roots: tuple[Tree, ...]
 
 
-@dataclass(frozen=True)
-class CardSelection:
-    """The sub-multiset of cards that are tree cubes, with root candidates."""
-
-    selected: tuple[SelectedCard, ...]
-
-    def __len__(self) -> int:
-        return len(self.selected)
-
-
-def select_cube_cards(S: Deck) -> CardSelection:
-    """Keep the cards that are cubes of some tree.
+def select_cube_cards(S: Deck) -> tuple[SelectedCard, ...]:
+    """Keep the cards that are cubes of some tree, in card order.
 
     Unique roots carry a single candidate; complete cards carry every tree of
     diameter below 4 on the card's order.
@@ -96,64 +87,7 @@ def select_cube_cards(S: Deck) -> CardSelection:
         roots = roots_by_card[card]
         if roots is not None:
             selected.append(SelectedCard(card, roots))
-    return CardSelection(tuple(selected))
-
-
-def _extension_candidates(selection: CardSelection, target_order: int) -> list[Tree]:
-    """Extend the selected cards' roots by one fresh leaf in every position.
-
-    Cards are visited in certificate order (duplicates once) and candidates
-    are deduplicated, so downstream first-accept resolution is deterministic.
-    A card produced by deleting an internal vertex can itself be a tree cube
-    (complete cards always are), so no single card is guaranteed to generate
-    the right tree; iterating all of them keeps the pipeline complete, and
-    every endpoint card's root extensions do contain the original tree.
-    """
-    by_cert: dict[CanonicalForm, Tree] = {}
-    out: list[Tree] = []
-    done_cards: set[CanonicalForm] = set()
-    for sc in selection.selected:
-        if sc.card in done_cards:
-            continue
-        done_cards.add(sc.card)
-        batch: dict[CanonicalForm, Tree] = {}
-        for root in sc.roots:
-            if root.p != target_order - 1:
-                continue
-            base = list(root.graph.edges)
-            for u in range(root.p):
-                cand = Tree(LabeledGraph(target_order, base + [(u, target_order - 1)]))
-                cert = canonical_form(cand.graph)
-                if cert not in by_cert and cert not in batch:
-                    batch[cert] = cand
-        for cert in sorted(batch):
-            by_cert[cert] = batch[cert]
-            out.append(batch[cert])
-    return out
-
-
-def _endpoint_cube_deck(T: Tree) -> tuple[CanonicalForm, ...]:
-    # Cubes of the leaf-deleted subtrees, the cube-level endpoint deck of T.
-    out = []
-    for v in sorted(leaves(T)):
-        out.append(canonical_form(power(delete_vertex(T.graph, v), 3)))
-    return tuple(sorted(out))
-
-
-def tree_from_endpoint_deck(selection: CardSelection, target_order: int) -> Tree:
-    """Reconstruct a tree whose cube-level endpoint deck matches the selection.
-
-    This is the tree-reconstruction black box: it errors when no extension of
-    the selected cards' roots is consistent with the selection. Callers doing
-    full-deck reconstruction still verify the winner against the whole deck.
-    """
-    if not selection.selected:
-        raise NotATreeDeckError("no card in the selection is a tree cube")
-    want = tuple(sorted(sc.card for sc in selection.selected))
-    for cand in _extension_candidates(selection, target_order):
-        if _endpoint_cube_deck(cand) == want:
-            return cand
-    raise NotATreeDeckError("no candidate tree matches the endpoint cards")
+    return tuple(selected)
 
 
 @dataclass(frozen=True)
@@ -189,12 +123,16 @@ def reconstruct(S: Deck) -> ReconstructionReport:
     if all(card == complete_card for card in S.cards):
         trace.append(f"all cards complete: deck determines K_{p}")
         return ReconstructionReport(True, complete_graph(p), Tree(star_graph(p)), tuple(trace))
-    selection = select_cube_cards(S)
-    trace.append(f"selected {len(selection)} of {p} cards as tree cubes")
-    if not selection.selected:
+    selected = select_cube_cards(S)
+    trace.append(f"selected {len(selected)} of {p} cards as tree cubes")
+    if not selected:
         trace.append("no cube cards: deck is not from a tree cube")
         return ReconstructionReport(False, None, None, tuple(trace))
-    candidates = _extension_candidates(selection, p)
+    # every selected card is extended: an internal vertex's card can be a
+    # tree cube too, and only the endpoint cards' roots surely extend to the
+    # tree; the deck fixes its class, so the accepted labeled tree (the
+    # first generated in that class) does not depend on the order tried
+    candidates = list(leaf_extensions(root for sc in dict.fromkeys(selected) for root in sc.roots))
     trace.append(f"{len(candidates)} candidate trees extend the first selected card")
     for cand in candidates:
         G = power(cand.graph, 3)

@@ -37,10 +37,6 @@ class AmbiguousStructureError(TreecubeError):
     """The cube is complete, so its clique structure does not determine a unique root."""
 
 
-class NotATreeDeckError(TreecubeError):
-    """The endpoint-card selection is not consistent with any tree (black-box error)."""
-
-
 class OrderTooSmallError(TreecubeError):
     """Reconstruction requires decks of order at least 3."""
 

@@ -93,7 +93,7 @@ class DistanceMatrix:
 
     def __init__(self, rows: list[list[int]]):
         self.p = len(rows)
-        self._rows = tuple(tuple(r) for r in rows)
+        self._rows = rows
 
     def get(self, u: int, v: int) -> int | None:
         d = self._rows[u][v]

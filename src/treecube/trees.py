@@ -10,8 +10,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
+from . import _kernels
 from .errors import EnumerationLimitError, NotATreeError
 from .graphs import LabeledGraph, all_pairs_distances, induced_subgraph, is_connected
 
@@ -140,7 +141,8 @@ def end_deleted(T: Tree) -> Tree:
 
 def leaf_orders(T: Tree) -> LeafOrderPartition:
     """Partition vertices by the end-deletion round that removes them."""
-    deg = [T.degree(v) for v in range(T.p)]
+    adj = T.graph._adj
+    deg = [a.bit_count() for a in adj]
     alive = set(range(T.p))
     orders = []
     while alive:
@@ -148,7 +150,7 @@ def leaf_orders(T: Tree) -> LeafOrderPartition:
         orders.append(layer)
         for v in layer:
             alive.discard(v)
-            for u in T.neighbors(v):
+            for u in _kernels.bits(adj[v]):
                 if u in alive:
                     deg[u] -= 1
     return LeafOrderPartition(tuple(orders))
@@ -230,8 +232,8 @@ def kth_order_terminal_edges(T: Tree, k: int) -> frozenset[tuple[int, int]]:
 # ── free-tree enumeration ─────────────────────────────────────────────
 
 
-def _ahu_rooted(T: Tree, root: int, parent: int) -> str:
-    kids = sorted(_ahu_rooted(T, w, root) for w in T.neighbors(root) if w != parent)
+def _ahu_rooted(adj: list[int], root: int, parent: int) -> str:
+    kids = sorted(_ahu_rooted(adj, w, root) for w in _kernels.bits(adj[root]) if w != parent)
     return "(" + "".join(kids) + ")"
 
 
@@ -246,11 +248,12 @@ def ahu_code(T: Tree) -> str:
     """Canonical string for free trees: equal iff isomorphic."""
     if T.p == 0:
         return ""
+    adj = T.graph._adj
     c = sorted(centers(T))
     if len(c) == 1:
-        return _ahu_rooted(T, c[0], -1)
+        return _ahu_rooted(adj, c[0], -1)
     a, b = c
-    halves = sorted([_ahu_rooted(T, a, b), _ahu_rooted(T, b, a)])
+    halves = sorted([_ahu_rooted(adj, a, b), _ahu_rooted(adj, b, a)])
     return "[" + "".join(halves) + "]"
 
 
@@ -265,19 +268,30 @@ def max_enumeration_order() -> int:
     return DEFAULT_MAX_ORDER
 
 
+def leaf_extensions(trees: Iterable[Tree]) -> Iterator[Tree]:
+    """Each tree made by joining a new last vertex to some vertex of a tree.
+
+    Trees are extended in input order, attaching to vertex 0, 1, ... in turn;
+    only the first tree generated in each isomorphism class (AHU code) is
+    yielded, in generation order.
+    """
+    seen: set[str] = set()
+    for small in trees:
+        p = small.p + 1
+        base = list(small.graph.edges)
+        for attach in range(small.p):
+            cand = Tree(LabeledGraph(p, base + [(attach, p - 1)]))
+            code = ahu_code(cand)
+            if code not in seen:
+                seen.add(code)
+                yield cand
+
+
 @lru_cache(maxsize=None)
 def _tree_reps(p: int) -> tuple[Tree, ...]:
     if p == 1:
         return (Tree(LabeledGraph(1)),)
-    by_code: dict[str, Tree] = {}
-    for small in _tree_reps(p - 1):
-        base = list(small.graph.edges)
-        for attach in range(p - 1):
-            cand = Tree(LabeledGraph(p, base + [(attach, p - 1)]))
-            code = ahu_code(cand)
-            if code not in by_code:
-                by_code[code] = cand
-    return tuple(by_code[c] for c in sorted(by_code))
+    return tuple(sorted(leaf_extensions(_tree_reps(p - 1)), key=ahu_code))
 
 
 def enumerate_trees(p: int) -> list[Tree]:

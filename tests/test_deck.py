@@ -2,7 +2,6 @@ import pytest
 
 from treecube.cubes import is_tree_cube
 from treecube.deck import (
-    CardSelection,
     Deck,
     deck,
     deck_check,
@@ -11,9 +10,8 @@ from treecube.deck import (
     recognize,
     reconstruct,
     select_cube_cards,
-    tree_from_endpoint_deck,
 )
-from treecube.errors import GraphParseError, NotATreeDeckError, OrderTooSmallError
+from treecube.errors import GraphParseError, OrderTooSmallError
 from treecube.graphs import (
     LabeledGraph,
     canonical_form,
@@ -64,7 +62,7 @@ def test_deck_check_examples():
 def test_select_cube_cards_examples():
     sel = select_cube_cards(deck(cube_of_path(5)))
     assert len(sel) == 2
-    for sc in sel.selected:
+    for sc in sel:
         card_graph = sc.card.to_graph()
         assert is_complete(card_graph) and card_graph.p == 4
         assert len(sc.roots) == 2  # complete K4 card: P4 and the star
@@ -82,19 +80,6 @@ def test_internal_cards_of_path_cube_are_rejected():
     internal_card = delete_vertex(G, 2)
     assert not is_complete(internal_card)
     assert not is_tree_cube(internal_card)
-
-
-def test_tree_from_endpoint_deck_examples():
-    sel = select_cube_cards(deck(cube_of_path(5)))
-    T = tree_from_endpoint_deck(sel, 5)
-    assert is_isomorphic(T.graph, path_graph(5))
-
-    sel = select_cube_cards(deck(cube_of_path(7)))
-    T = tree_from_endpoint_deck(sel, 7)
-    assert is_isomorphic(T.graph, path_graph(7))
-
-    with pytest.raises(NotATreeDeckError):
-        tree_from_endpoint_deck(CardSelection(()), 5)
 
 
 def test_reconstruct_examples():
@@ -119,7 +104,7 @@ def test_reconstruct_uses_complete_card_roots_above_the_cap():
     G = power(T.graph, 3)
     assert not is_complete(G) and is_complete(delete_vertex(G, 14))
     k14 = canonical_form(complete_graph(14))
-    complete_cards = [sc for sc in select_cube_cards(deck(G)).selected if sc.card == k14]
+    complete_cards = [sc for sc in select_cube_cards(deck(G)) if sc.card == k14]
     assert len(complete_cards) == 1 and len(complete_cards[0].roots) == 7
     report = reconstruct(deck(G))
     assert report.recognized and is_isomorphic(report.graph, G)
@@ -160,28 +145,12 @@ def test_spurious_internal_cube_cards_are_harmless():
     assert len(sel) == 6 and len(leaves(T)) == 3
     report = reconstruct(deck(G))
     assert report.recognized and is_isomorphic(report.graph, G)
-    # the polluted selection is not the endpoint deck of any tree, so the
-    # black box errors out, as specified for invalid endpoint decks
-    with pytest.raises(NotATreeDeckError):
-        tree_from_endpoint_deck(sel, 6)
 
 
 def test_endpoint_precision_counterexamples_catalog():
     hits = endpoint_precision_counterexamples(6)
     assert [(T.graph.edge_list(), ivs) for T, ivs in hits] == [
         ([(0, 1), (0, 2), (0, 5), (1, 3), (2, 4)], (0, 1, 2))]
-
-
-def test_black_box_accepts_clean_endpoint_selection():
-    # feed the black box exactly the endpoint cards of a tree whose internal
-    # cards are all rejected: selection equals the endpoint deck and the box
-    # returns the tree
-    T = Tree(path_graph(6))
-    G = power(T.graph, 3)
-    sel = select_cube_cards(deck(G))
-    assert len(sel) == len(leaves(T))
-    out = tree_from_endpoint_deck(sel, 6)
-    assert is_isomorphic(out.graph, T.graph)
 
 
 def test_deck_file_round_trip_edgelist_and_graph6():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from treecube import harness
 from treecube.cubes import RootKind, cube_root_oracle
 from treecube.graphs import canonical_form, complete_graph, is_complete, is_connected, path_graph, power, star_graph
 from treecube.harness import (
@@ -33,6 +34,38 @@ def test_reports_are_deterministic_across_worker_counts():
         r1 = run_suite(suite, 6, workers=1)
         r2 = run_suite(suite, 6, workers=4)
         assert r1.to_json() == r2.to_json()
+
+
+class RecordingContext:
+    """Stands in for a multiprocessing context: records pool sizes, starts nothing."""
+
+    def __init__(self):
+        self.pool_sizes = []
+
+    def Pool(self, processes):
+        self.pool_sizes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, units, chunksize=1):
+        return [fn(u) for u in units]
+
+
+def test_worker_pool_is_capped_at_units_and_cores(monkeypatch):
+    ctx = RecordingContext()
+    monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    serial = run_suite("thm31", 7, workers=1).to_json()
+    assert ctx.pool_sizes == []
+    for workers in (100_000, None, 3):
+        assert run_suite("thm31", 7, workers=workers).to_json() == serial
+    run_suite("thm31", 4, workers=100_000)  # 3 trees of order 3..4
+    assert ctx.pool_sizes == [4, 4, 3, 3]
 
 
 def test_report_json_payload_is_stable():

@@ -1,7 +1,10 @@
 """The pure-Python kernels on a fixed corpus, and the names callers rely on."""
 
+import ast
+import importlib
 import itertools
 import random
+from pathlib import Path
 
 from treecube import _kernels
 
@@ -50,10 +53,26 @@ def test_backend_is_pure_python():
     assert _kernels.backend_name() == "python"
 
 
+def traced_names():
+    """``TRACED`` from bench/spans.py, read as a literal so bench stays unimported."""
+    tree = ast.parse((Path(__file__).parents[1] / "bench" / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/spans.py defines no TRACED literal")
+
+
 def test_kernel_names_stay_on_the_module():
-    # callers and the benchmark tracer look these up on treecube._kernels
+    # callers look the kernels up on treecube._kernels, and the benchmark
+    # tracer wraps every name it declares on the module it names
     for name in ("canonical_labeling", "all_pairs_distances", "maximal_cliques"):
         assert callable(getattr(_kernels, name))
+    traced = traced_names()
+    assert "treecube._kernels" in traced and "treecube.deck" in traced
+    for module, names in traced.items():
+        mod = importlib.import_module(module)
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"{module}.{name}"
 
 
 def test_python_kernels_handle_large_orders():

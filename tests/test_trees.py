@@ -26,6 +26,7 @@ from treecube.trees import (
     is_tree,
     k_periphery,
     kth_order_terminal_edges,
+    leaf_extensions,
     leaf_orders,
     leaves,
     terminal_edges,
@@ -194,6 +195,18 @@ def test_enumeration_is_deterministic_and_nonisomorphic():
     assert a == b
     certs = [canonical_form(t.graph) for t in enumerate_trees(8)]
     assert len(set(certs)) == len(certs)
+
+
+def test_leaf_extensions_keep_the_first_tree_of_each_class():
+    # P3 grows at vertex 0 (a P4), 1 (the star) and 2 (a second P4, dropped)
+    got = [T.graph.edge_list() for T in leaf_extensions([P(3)])]
+    assert got == [[(0, 1), (0, 3), (1, 2)], [(0, 1), (1, 2), (1, 3)]]
+    # classes repeated by later inputs are dropped too
+    assert [T.graph.edge_list() for T in leaf_extensions([P(3), P(3)])] == got
+    assert list(leaf_extensions([])) == []
+    for p in range(1, 9):
+        ext = list(leaf_extensions(enumerate_trees(p)))
+        assert sorted(map(ahu_code, ext)) == sorted(map(ahu_code, enumerate_trees(p + 1)))
 
 
 def test_enumeration_rejects_out_of_range(monkeypatch):
