@@ -86,7 +86,6 @@ from .harness import (
     run_suite,
 )
 from .trees import (
-    LeafOrderPartition,
     Tree,
     WeightedTree,
     ahu_code,

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .cubes import RootKind, cube_root
-from .deck import deck, deck_to_text, parse_deck, reconstruct
+from .deck import deck, deck_to_text, parse_deck, recognize, reconstruct
 from .errors import EnumerationLimitError, GraphParseError, OrderTooSmallError
 from .graphs import parse_graph, power, serialize_graph
 from .harness import SUITES, collide, run_suite
@@ -79,11 +79,7 @@ def _cmd_reconstruct(args) -> int:
         print("*", step)
     if report.recognized:
         print("recognized: reconstruction is unique up to isomorphism")
-        text = serialize_graph(report.graph, args.format or "edgelist")
-        if args.output:
-            _write(text, args.output)
-        else:
-            sys.stdout.write(text)
+        _write(serialize_graph(report.graph, args.format or "edgelist"), args.output)
         return EXIT_PASS
     print("not recognized: deck does not belong to a tree cube")
     return EXIT_FAIL
@@ -91,7 +87,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_recognize(args) -> int:
     S = parse_deck(_read(args.input))
-    ok = reconstruct(S).recognized
+    ok = recognize(S)
     print("true" if ok else "false")
     return EXIT_PASS if ok else EXIT_FAIL
 

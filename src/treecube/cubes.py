@@ -26,9 +26,7 @@ from .graphs import (
     LabeledGraph,
     canonical_form,
     canonical_order,
-    diameter,
     edge_span,
-    induced_subgraph,
     is_complete,
     is_connected,
     power,
@@ -40,7 +38,7 @@ from .trees import (
     end_deleted,
     enumerate_trees,
     expand,
-    leaf_orders,
+    kth_order_terminal_edges,
     leaves,
 )
 
@@ -121,17 +119,16 @@ def cliques_of_cube(T: Tree) -> list[CliqueRecord]:
 
 def terminal_cliques(T: Tree) -> list[CliqueRecord]:
     """Cliques centered on pendant skeleton edges (an endpoint in L_1)."""
-    if diameter(T.graph) < 4:
-        raise AmbiguousStructureError("cube is complete: no terminal clique structure")
-    l1 = leaf_orders(T).orders[1]
-    return [r for r in cliques_of_cube(T) if r.clique_edge[0] in l1 or r.clique_edge[1] in l1]
+    return kth_order_terminal_cliques(T, 0)
 
 
 def kth_order_terminal_cliques(G_or_T: LabeledGraph | Tree, k: int) -> list[CliqueRecord]:
     """Terminal cliques of the k-times end-deleted tree's cube.
 
-    Accepts the tree itself or its cube; for a cube the records are reported
-    in the labels of the extracted root.
+    They are the 1-spans of the terminal edges of the (k+1)-times end-deleted
+    tree, taken within the k-times end-deleted one. Accepts the tree itself or
+    its cube; for a cube the records are reported in the labels of the
+    extracted root.
     """
     if k < 0:
         raise ValueError("order must be non-negative")
@@ -144,17 +141,15 @@ def kth_order_terminal_cliques(G_or_T: LabeledGraph | Tree, k: int) -> list[Cliq
         if r.kind is RootKind.AMBIGUOUS_COMPLETE:
             raise AmbiguousStructureError("complete cube: the root tree is not unique")
         T = r.tree
-    if k == 0:
-        return terminal_cliques(T)
     core = core_vertices(T, k)
     if not core:
         raise ValueError(f"tree exhausted after {k} end-deletions")
-    sub, old_ids = induced_subgraph(T.graph, sorted(core))
-    out = []
-    for r in terminal_cliques(Tree(sub)):
-        e = (old_ids[r.clique_edge[0]], old_ids[r.clique_edge[1]])
-        out.append(CliqueRecord(frozenset(old_ids[v] for v in r.members), e))
-    return out
+    # the k-times end-deleted tree has diameter below 4 iff one more
+    # end-deletion leaves at most its one or two centers
+    if len(core_vertices(T, k + 1)) <= 2:
+        raise AmbiguousStructureError("cube is complete: no terminal clique structure")
+    return [CliqueRecord(edge_span(T.graph, e, 1) & core, e)
+            for e in sorted(kth_order_terminal_edges(T, k + 1))]
 
 
 # ── constructive root extraction ──────────────────────────────────────

@@ -17,10 +17,11 @@ from .errors import GraphParseError, OrderTooSmallError
 from .graphs import (
     CanonicalForm,
     LabeledGraph,
+    _parse_edgelist,
+    _parse_graph6,
     canonical_form,
     complete_graph,
     delete_vertex,
-    parse_graph,
     power,
     serialize_graph,
     star_graph,
@@ -133,7 +134,7 @@ def reconstruct(S: Deck) -> ReconstructionReport:
     # tree; the deck fixes its class, so the accepted labeled tree (the
     # first generated in that class) does not depend on the order tried
     candidates = list(leaf_extensions(root for sc in dict.fromkeys(selected) for root in sc.roots))
-    trace.append(f"{len(candidates)} candidate trees extend the first selected card")
+    trace.append(f"{len(candidates)} candidate trees extend the roots of the selected cards")
     for cand in candidates:
         G = power(cand.graph, 3)
         if deck_check(G, S):
@@ -181,10 +182,9 @@ def parse_deck(text: str) -> Deck:
         raise GraphParseError(f"bad deck order {header[1]!r}", line=idx + 1) from None
     body = lines[idx + 1:]
     content = [(i, ln) for i, ln in enumerate(body) if ln.strip()]
+    # body line i is line idx + 2 + i of the deck file
     if content and not content[0][1].strip()[:1].isdigit():
-        graphs = []
-        for i, ln in content:
-            graphs.append((i, parse_graph(ln.strip(), fmt="graph6")))
+        graphs = [(i, _parse_graph6(ln, line=idx + 2 + i)) for i, ln in content]
     else:
         graphs = []
         block: list[str] = []
@@ -196,9 +196,10 @@ def parse_deck(text: str) -> Deck:
                 block.append(ln)
             elif block:
                 try:
-                    graphs.append((start, parse_graph("\n".join(block), fmt="edgelist")))
+                    graphs.append((start, _parse_edgelist("\n".join(block), line=idx + 2 + start)))
                 except GraphParseError as exc:
-                    raise GraphParseError(f"card {len(graphs) + 1}: {exc}") from None
+                    raise GraphParseError(
+                        f"card {len(graphs) + 1}: {exc.message}", exc.line, exc.offset) from None
                 block = []
     if len(graphs) != p:
         raise GraphParseError(f"deck of order {p} needs {p} cards, found {len(graphs)}")

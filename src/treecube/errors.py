@@ -17,6 +17,7 @@ class GraphParseError(TreecubeError):
         if line is not None:
             loc = f" (line {line}" + (f", offset {offset}" if offset is not None else "") + ")"
         super().__init__(message + loc)
+        self.message = message
         self.line = line
         self.offset = offset
 

@@ -102,9 +102,6 @@ class DistanceMatrix:
     def reachable(self, u: int, v: int) -> bool:
         return self._rows[u][v] >= 0
 
-    def row(self, u: int) -> tuple[int | None, ...]:
-        return tuple(None if d < 0 else d for d in self._rows[u])
-
 
 @dataclass(frozen=True, order=True)
 class CanonicalForm:
@@ -333,8 +330,11 @@ def canonical_order(G: LabeledGraph) -> tuple[int, ...]:
 
 
 def is_isomorphic(G: LabeledGraph, H: LabeledGraph) -> bool:
+    """Equal labeled graphs answer without a canonical labeling."""
     if G.p != H.p or len(G.edges) != len(H.edges):
         return False
+    if G.edges == H.edges:
+        return True
     return _canonical(G)[0] == _canonical(H)[0]
 
 
@@ -363,11 +363,12 @@ def to_edgelist(G: LabeledGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_edgelist(text: str) -> LabeledGraph:
+def _parse_edgelist(text: str, line: int = 1) -> LabeledGraph:
+    # ``line`` is the number of the text's first line, for error messages
     lines = text.splitlines()
     header = None
     header_no = 0
-    for no, raw in enumerate(lines, start=1):
+    for no, raw in enumerate(lines, start=line):
         if raw.strip():
             header = raw.strip()
             header_no = no
@@ -385,7 +386,7 @@ def _parse_edgelist(text: str) -> LabeledGraph:
             f"vertex count {p} exceeds the edge-list limit {MAX_EDGELIST_ORDER}", line=header_no)
     edges = []
     seen = set()
-    for no, raw in enumerate(lines[header_no:], start=header_no + 1):
+    for no, raw in enumerate(lines[header_no - line + 1:], start=header_no + 1):
         stripped = raw.strip()
         if not stripped:
             continue

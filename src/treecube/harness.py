@@ -17,6 +17,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .cubes import (
     RootKind,
@@ -42,30 +43,6 @@ from .graphs import (
     power,
 )
 from .trees import Tree, end_deleted, enumerate_trees, leaves
-
-SUITES = (
-    "thm31",
-    "thm32",
-    "lemma21",
-    "lemma24",
-    "lemma25",
-    "rc-pipeline",
-    "recognition-negative",
-    "oracle-agreement",
-)
-
-# Structural suites default to order 10; deck suites pay an extra factor of p
-# in isomorphism work and default to 9.
-DEFAULT_MAX_ORDER = {
-    "thm31": 10,
-    "thm32": 10,
-    "lemma21": 10,
-    "lemma24": 10,
-    "lemma25": 10,
-    "oracle-agreement": 10,
-    "rc-pipeline": 9,
-    "recognition-negative": 9,
-}
 
 NONCUBE_CORPUS_SEED = 0x7C3
 NONCUBE_CORPUS_SIZE = 200
@@ -224,16 +201,15 @@ def _rc_unit(T: Tree) -> tuple[int, list[dict]]:
     G = power(T.graph, 3)
     S = deck(G)
     failures = []
-    tree_hex = canonical_form(T.graph).hex()
     report = reconstruct(S)
     if not (report.recognized and report.graph is not None and is_isomorphic(report.graph, G)):
-        failures.append({"tree": tree_hex, "reason": "reconstruction failed or mismatched"})
+        failures.append({"reason": "reconstruction failed or mismatched"})
     # every endpoint-deleted card must pass the cube test
     for v in sorted(leaves(T)):
         if not is_tree_cube(delete_vertex(G, v)):
-            failures.append({"tree": tree_hex, "vertex": v,
-                             "reason": "endpoint card rejected by the cube test"})
-    return 1, failures
+            failures.append({"vertex": v, "reason": "endpoint card rejected by the cube test"})
+    # label the tree only for a failure (the labeling is cached on the graph)
+    return 1, [{"tree": canonical_form(T.graph).hex(), **f} for f in failures]
 
 
 def internal_cube_cards(T: Tree) -> list[int]:
@@ -319,8 +295,8 @@ def _trees_in_range(lo: int, hi: int) -> list[Tree]:
     return out
 
 
-def _suite_thm31(max_order, workers):
-    return _sweep(_thm31_unit, _trees_in_range(3, max_order), workers)
+def _tree_sweep(fn, lo: int, max_order: int, workers) -> tuple[int, list[dict]]:
+    return _sweep(fn, _trees_in_range(lo, max_order), workers)
 
 
 def _suite_thm32(max_order, workers):
@@ -332,22 +308,6 @@ def _suite_thm32(max_order, workers):
         "power_certificate": pair.power_certificate.hex(),
     } for pair in collide(3, max_order, require_noncomplete=True, workers=workers).pairs]
     return checked, failures
-
-
-def _suite_lemma21(max_order, workers):
-    return _sweep(_lemma21_unit, _trees_in_range(1, max_order), workers)
-
-
-def _suite_lemma24(max_order, workers):
-    return _sweep(_lemma24_unit, _trees_in_range(1, max_order), workers)
-
-
-def _suite_lemma25(max_order, workers):
-    return _sweep(_lemma25_unit, _trees_in_range(1, max_order), workers)
-
-
-def _suite_rc_pipeline(max_order, workers):
-    return _sweep(_rc_unit, _trees_in_range(3, max_order), workers)
 
 
 def recognition_negative_corpus(max_order: int) -> list[LabeledGraph]:
@@ -368,28 +328,34 @@ def _suite_oracle_agreement(max_order, workers):
     return _sweep(_oracle_agreement_unit, units, workers)
 
 
-_SUITE_FNS = {
-    "thm31": _suite_thm31,
-    "thm32": _suite_thm32,
-    "lemma21": _suite_lemma21,
-    "lemma24": _suite_lemma24,
-    "lemma25": _suite_lemma25,
-    "rc-pipeline": _suite_rc_pipeline,
-    "recognition-negative": _suite_recognition_negative,
-    "oracle-agreement": _suite_oracle_agreement,
+# suite -> (default max order, runner(max_order, workers) -> (checked, failures));
+# structural suites default to order 10, deck suites pay an extra factor of p
+# in isomorphism work and default to 9
+_SUITE_TABLE = {
+    "thm31": (10, partial(_tree_sweep, _thm31_unit, 3)),
+    "thm32": (10, _suite_thm32),
+    "lemma21": (10, partial(_tree_sweep, _lemma21_unit, 1)),
+    "lemma24": (10, partial(_tree_sweep, _lemma24_unit, 1)),
+    "lemma25": (10, partial(_tree_sweep, _lemma25_unit, 1)),
+    "rc-pipeline": (9, partial(_tree_sweep, _rc_unit, 3)),
+    "recognition-negative": (9, _suite_recognition_negative),
+    "oracle-agreement": (10, _suite_oracle_agreement),
 }
+SUITES = tuple(_SUITE_TABLE)
+DEFAULT_MAX_ORDER = {suite: order for suite, (order, _) in _SUITE_TABLE.items()}
 
 
 def run_suite(suite: str, max_order: int | None = None, workers: int | None = 1) -> VerificationReport:
     """Run one named invariant sweep up to the given order."""
-    if suite not in _SUITE_FNS:
+    if suite not in _SUITE_TABLE:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    default_order, runner = _SUITE_TABLE[suite]
     if max_order is None:
-        max_order = DEFAULT_MAX_ORDER[suite]
+        max_order = default_order
     if max_order < 1:
         raise ValueError("max order must be at least 1")
     start = time.perf_counter()
-    checked, failures = _SUITE_FNS[suite](max_order, workers)
+    checked, failures = runner(max_order, workers)
     elapsed = time.perf_counter() - start
     return VerificationReport(suite, max_order, checked, tuple(failures), elapsed)
 
@@ -404,7 +370,7 @@ def collide(n: int, max_order: int, require_noncomplete: bool = False,
     pairs = []
     for p in range(1, max_order + 1):
         trees = enumerate_trees(p)
-        certs = _map_units(_PowerCert(n), trees, workers)
+        certs = _map_units(partial(_power_cert, n), trees, workers)
         buckets: dict = {}
         for i, cert in enumerate(certs):
             buckets.setdefault(cert, []).append(i)
@@ -420,11 +386,5 @@ def collide(n: int, max_order: int, require_noncomplete: bool = False,
     return CollisionResult(n, max_order, require_noncomplete, tuple(pairs))
 
 
-class _PowerCert:
-    """Picklable per-tree n-th power certificate worker."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __call__(self, T: Tree):
-        return canonical_form(power(T.graph, self.n))
+def _power_cert(n: int, T: Tree) -> CanonicalForm:
+    return canonical_form(power(T.graph, n))

@@ -8,7 +8,6 @@ verification sweeps.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -28,10 +27,6 @@ class Tree:
         if not is_tree(graph):
             raise NotATreeError(f"graph with p={graph.p}, m={len(graph.edges)} is not a tree")
         self.graph = graph
-
-    @classmethod
-    def from_edges(cls, p: int, edges: Iterable[Iterable[int]]) -> "Tree":
-        return cls(LabeledGraph(p, edges))
 
     @property
     def p(self) -> int:
@@ -53,23 +48,6 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree(p={self.p}, edges={self.graph.edge_list()})"
-
-
-@dataclass(frozen=True)
-class LeafOrderPartition:
-    """Vertex sets L_0, L_1, ..., L_m: leaves of the i-times end-deleted tree."""
-
-    orders: tuple[frozenset[int], ...]
-
-    def order_of(self, v: int) -> int:
-        for i, s in enumerate(self.orders):
-            if v in s:
-                return i
-        raise ValueError(f"vertex {v} not covered by the partition")
-
-    @property
-    def m(self) -> int:
-        return len(self.orders) - 1
 
 
 class WeightedTree:
@@ -125,22 +103,20 @@ def leaves(T: Tree) -> frozenset[int]:
     return frozenset(v for v in range(T.p) if T.degree(v) == 1)
 
 
-def _end_deleted_with_map(T: Tree) -> tuple[Tree, list[int]]:
-    keep = sorted(set(range(T.p)) - leaves(T))
-    sub, old_ids = induced_subgraph(T.graph, keep)
-    return Tree(sub), old_ids
-
-
 def end_deleted(T: Tree) -> Tree:
     """Induced subtree on the non-leaf vertices (densely relabeled).
 
     Both P1 and P2 end-delete to the empty tree.
     """
-    return _end_deleted_with_map(T)[0]
+    return Tree(induced_subgraph(T.graph, core_vertices(T, 1))[0])
 
 
-def leaf_orders(T: Tree) -> LeafOrderPartition:
-    """Partition vertices by the end-deletion round that removes them."""
+def leaf_orders(T: Tree) -> tuple[frozenset[int], ...]:
+    """The layers L_0, L_1, ...: L_i holds the leaves of the i-times end-deleted tree.
+
+    This is the one place a tree is peeled; every end-deletion notion derives
+    from these layers.
+    """
     adj = T.graph._adj
     deg = [a.bit_count() for a in adj]
     alive = set(range(T.p))
@@ -153,18 +129,14 @@ def leaf_orders(T: Tree) -> LeafOrderPartition:
             for u in _kernels.bits(adj[v]):
                 if u in alive:
                     deg[u] -= 1
-    return LeafOrderPartition(tuple(orders))
+    return tuple(orders)
 
 
 def core_vertices(T: Tree, k: int) -> frozenset[int]:
     """Vertices (original ids) surviving k rounds of end-deletion."""
     if k < 0:
         raise ValueError("deletion count must be non-negative")
-    lo = leaf_orders(T)
-    out: set[int] = set()
-    for s in lo.orders[k:]:
-        out |= s
-    return frozenset(out)
+    return frozenset().union(*leaf_orders(T)[k:])
 
 
 def k_periphery(T: Tree, subtree_vertices: Iterable[int], k: int) -> frozenset[int]:
@@ -192,12 +164,10 @@ def weighted_form(T: Tree) -> WeightedTree:
     """Collapse T to its end-deleted skeleton with per-vertex leaf counts."""
     if T.p <= 2:
         raise ValueError("weighted form needs a tree with at least 3 vertices")
-    skeleton, old_ids = _end_deleted_with_map(T)
-    leaf_set = leaves(T)
-    weights = []
-    for old in old_ids:
-        weights.append(sum(1 for u in T.neighbors(old) if u in leaf_set))
-    return WeightedTree(skeleton, weights)
+    skeleton, old_ids = induced_subgraph(T.graph, core_vertices(T, 1))
+    # a skeleton vertex's neighbors outside the skeleton are its leaves
+    weights = (T.degree(v) - skeleton.degree(i) for i, v in enumerate(old_ids))
+    return WeightedTree(Tree(skeleton), weights)
 
 
 def expand(W: WeightedTree) -> Tree:
@@ -214,7 +184,7 @@ def expand(W: WeightedTree) -> Tree:
 
 def terminal_edges(T: Tree) -> frozenset[tuple[int, int]]:
     """Edges with at least one degree-1 endpoint."""
-    return frozenset(e for e in T.graph.edges if T.degree(e[0]) == 1 or T.degree(e[1]) == 1)
+    return kth_order_terminal_edges(T, 0)
 
 
 def kth_order_terminal_edges(T: Tree, k: int) -> frozenset[tuple[int, int]]:
@@ -241,7 +211,7 @@ def centers(T: Tree) -> frozenset[int]:
     """The 1- or 2-vertex core left by repeated leaf removal."""
     if T.p == 0:
         return frozenset()
-    return leaf_orders(T).orders[-1]
+    return leaf_orders(T)[-1]
 
 
 def ahu_code(T: Tree) -> str:

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import brute_force_maximal_cliques
+from helpers import bfs_distances_oracle, brute_force_maximal_cliques
 from treecube.cubes import (
     RootKind,
     clique_edges_of_tree,
@@ -127,6 +127,46 @@ def test_kth_order_terminal_cliques_examples():
     assert kth_order_terminal_cliques(P(7), 0) == terminal_cliques(P(7))
     with pytest.raises(ValueError):
         kth_order_terminal_cliques(P(7), 5)
+
+
+def _terminal_cliques_reference(T, k):
+    """Maximal cliques of the k-times end-deleted tree's cube that own a vertex
+    lying in no other maximal clique, in T's labels; None once T is exhausted."""
+    alive = set(range(T.p))
+    for _ in range(k):
+        alive -= {v for v in alive if sum(u in alive for u in T.neighbors(v)) <= 1}
+    if not alive:
+        return None
+    old = sorted(alive)
+    sub = LabeledGraph(len(old), [(old.index(u), old.index(v)) for u, v in T.graph.edges
+                                  if u in alive and v in alive])
+    dist = bfs_distances_oracle(sub)
+    cube = LabeledGraph(sub.p, [(u, v) for u in range(sub.p) for v in range(u + 1, sub.p)
+                                if dist[u][v] <= 3])
+    cliques = brute_force_maximal_cliques(cube)
+    return {frozenset(old[v] for v in c) for c in cliques
+            if any(all(v not in d for d in cliques if d != c) for v in c)}
+
+
+def test_kth_order_terminal_cliques_match_private_vertex_cliques():
+    defined = 0
+    for p in range(1, 11):
+        for T in enumerate_trees(p):
+            for k in range(p):
+                want = _terminal_cliques_reference(T, k)
+                if want is None:
+                    with pytest.raises(ValueError):
+                        kth_order_terminal_cliques(T, k)
+                    break
+                if len(want) == 1:
+                    # one maximal clique: the cube is complete
+                    with pytest.raises(AmbiguousStructureError):
+                        kth_order_terminal_cliques(T, k)
+                    continue
+                got = [r.members for r in kth_order_terminal_cliques(T, k)]
+                assert len(got) == len(want) and set(got) == want, (T, k)
+                defined += 1
+    assert defined == 249
 
 
 def test_kth_order_terminal_cliques_accepts_cubes():

@@ -173,6 +173,16 @@ def test_parse_deck_errors():
         parse_deck(text.replace("deck 4", "deck 5"))
 
 
+def test_parse_deck_errors_name_the_deck_file_line():
+    with pytest.raises(GraphParseError) as info:
+        parse_deck("deck 4\nBw\nBw\nB!\nBw\n")
+    assert (info.value.line, info.value.offset) == (4, 1)
+    with pytest.raises(GraphParseError) as info:
+        parse_deck("deck 4\n\n3\n0 1\n\n3\n0 1\n\n3\n0 5\n\n3\n0 1\n")
+    assert info.value.line == 10
+    assert str(info.value).startswith("card 3: ")
+
+
 def test_parse_deck_mixed_blank_lines():
     d = deck(complete_graph(4))
     text = "\n\ndeck 4\n\n\n" + "\n\n".join("3\n0 1\n0 2\n1 2" for _ in range(4)) + "\n\n"

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from treecube import harness
+from treecube import _kernels, harness
 from treecube.cubes import RootKind, cube_root_oracle
 from treecube.graphs import canonical_form, complete_graph, is_complete, is_connected, path_graph, power, star_graph
 from treecube.harness import (
@@ -34,6 +34,17 @@ def test_reports_are_deterministic_across_worker_counts():
         r1 = run_suite(suite, 6, workers=1)
         r2 = run_suite(suite, 6, workers=4)
         assert r1.to_json() == r2.to_json()
+
+
+def test_thm31_runs_no_canonical_labeling(monkeypatch):
+    # a leaf's cards are labeled-equal and an internal vertex's differ in edge
+    # count, so neither side of the theorem needs an isomorphism test
+    def refuse(*args):
+        raise AssertionError("canonical labeling ran")
+
+    monkeypatch.setattr(_kernels, "canonical_labeling", refuse)
+    report = run_suite("thm31", 10, workers=1)
+    assert report.passed and report.checked > 0
 
 
 class RecordingContext:

@@ -82,10 +82,10 @@ def test_end_deleted_is_induced_complement_of_leaves():
 
 
 def test_leaf_orders_examples():
-    assert leaf_orders(P(7)).orders == (
+    assert leaf_orders(P(7)) == (
         frozenset({0, 6}), frozenset({1, 5}), frozenset({2, 4}), frozenset({3}))
-    assert leaf_orders(S(5)).orders == (frozenset({1, 2, 3, 4}), frozenset({0}))
-    assert leaf_orders(P(2)).orders == (frozenset({0, 1}),)
+    assert leaf_orders(S(5)) == (frozenset({1, 2, 3, 4}), frozenset({0}))
+    assert leaf_orders(P(2)) == (frozenset({0, 1}),)
 
 
 def test_leaf_orders_partition_all_trees():
@@ -93,11 +93,11 @@ def test_leaf_orders_partition_all_trees():
         for T in enumerate_trees(p):
             lo = leaf_orders(T)
             seen = set()
-            for s in lo.orders:
+            for s in lo:
                 assert not (seen & s)
                 seen |= s
             assert seen == set(range(T.p))
-            assert 1 <= len(lo.orders[-1]) <= 2
+            assert 1 <= len(lo[-1]) <= 2
 
 
 def test_k_periphery_examples():
