@@ -45,7 +45,6 @@ from .errors import (
 )
 from .graphs import (
     CanonicalForm,
-    DistanceMatrix,
     LabeledGraph,
     all_pairs_distances,
     canonical_form,

@@ -1,4 +1,4 @@
-"""Kernels: BFS distances, canonical labeling, maximal cliques.
+"""Kernels: bounded BFS on masks, canonical labeling, maximal cliques.
 
 Adjacency is passed as a list of integer bitmasks (``adj[v]`` has bit ``u``
 set iff ``u`` and ``v`` are adjacent). All functions are deterministic and
@@ -8,10 +8,39 @@ this module at call time, so a tracer or a test can wrap them here.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 
 def backend_name() -> str:
     """Always ``"python"``: the pure-Python kernels are the only backend."""
     return "python"
+
+
+def ball(adj: list[int], reach: int, k: int) -> int:
+    """The mask of vertices within distance ``k`` of the vertex mask ``reach``.
+
+    The search stops at radius ``k``, or as soon as no new vertex is reached.
+    """
+    frontier = reach
+    while k > 0 and frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~reach
+        reach |= frontier
+        k -= 1
+    return reach
+
+
+def layers(adj: list[int], reach: int) -> Iterator[int]:
+    """BFS layers from the vertex mask ``reach``: the mask, then each new frontier."""
+    seen = frontier = reach
+    while frontier:
+        yield frontier
+        frontier = ball(adj, frontier, 1) & ~seen
+        seen |= frontier
 
 
 def all_pairs_distances(p: int, adj: list[int]) -> list[list[int]]:
@@ -19,26 +48,9 @@ def all_pairs_distances(p: int, adj: list[int]) -> list[list[int]]:
     dist = [[-1] * p for _ in range(p)]
     for s in range(p):
         row = dist[s]
-        row[s] = 0
-        visited = 1 << s
-        frontier = visited
-        d = 0
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                nxt |= adj[v]
-            nxt &= ~visited
-            d += 1
-            m = nxt
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
+        for d, layer in enumerate(layers(adj, 1 << s)):
+            for v in bits(layer):
                 row[v] = d
-            visited |= nxt
-            frontier = nxt
     return dist
 
 

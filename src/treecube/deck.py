@@ -133,7 +133,8 @@ def reconstruct(S: Deck) -> ReconstructionReport:
     # tree cube too, and only the endpoint cards' roots surely extend to the
     # tree; the deck fixes its class, so the accepted labeled tree (the
     # first generated in that class) does not depend on the order tried
-    candidates = list(leaf_extensions(root for sc in dict.fromkeys(selected) for root in sc.roots))
+    roots = (root for sc in dict.fromkeys(selected) for root in sc.roots)
+    candidates = list(leaf_extensions(roots).values())
     trace.append(f"{len(candidates)} candidate trees extend the roots of the selected cards")
     for cand in candidates:
         G = power(cand.graph, 3)
@@ -182,11 +183,20 @@ def parse_deck(text: str) -> Deck:
         raise GraphParseError(f"bad deck order {header[1]!r}", line=idx + 1) from None
     body = lines[idx + 1:]
     content = [(i, ln) for i, ln in enumerate(body) if ln.strip()]
-    # body line i is line idx + 2 + i of the deck file
+    graphs: list[LabeledGraph] = []
+
+    def add(i: int, G: LabeledGraph) -> None:
+        # body line i is line idx + 2 + i of the deck file; each card's order
+        # is checked as soon as it is parsed, so a bad card is never held
+        if G.p != p - 1:
+            raise GraphParseError(
+                f"card on {G.p} vertices in a deck of order {p}", line=idx + 2 + i)
+        graphs.append(G)
+
     if content and not content[0][1].strip()[:1].isdigit():
-        graphs = [(i, _parse_graph6(ln, line=idx + 2 + i)) for i, ln in content]
+        for i, ln in content:
+            add(i, _parse_graph6(ln, line=idx + 2 + i))
     else:
-        graphs = []
         block: list[str] = []
         start = 0
         for i, ln in enumerate(body + [""]):
@@ -196,17 +206,12 @@ def parse_deck(text: str) -> Deck:
                 block.append(ln)
             elif block:
                 try:
-                    graphs.append((start, _parse_edgelist("\n".join(block), line=idx + 2 + start)))
+                    G = _parse_edgelist("\n".join(block), line=idx + 2 + start)
                 except GraphParseError as exc:
                     raise GraphParseError(
                         f"card {len(graphs) + 1}: {exc.message}", exc.line, exc.offset) from None
+                add(start, G)
                 block = []
     if len(graphs) != p:
         raise GraphParseError(f"deck of order {p} needs {p} cards, found {len(graphs)}")
-    cards = []
-    for i, G in graphs:
-        if G.p != p - 1:
-            raise GraphParseError(
-                f"card on {G.p} vertices in a deck of order {p}", line=idx + 2 + i)
-        cards.append(canonical_form(G))
-    return Deck(tuple(cards))
+    return Deck(tuple(canonical_form(G) for G in graphs))

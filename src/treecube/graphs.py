@@ -25,7 +25,7 @@ def _norm_edge(e: Iterable[int]) -> Edge:
 class LabeledGraph:
     """Simple undirected graph on vertices 0..p-1 (no loops, no multi-edges)."""
 
-    __slots__ = ("p", "edges", "_adj", "_dist", "_canon")
+    __slots__ = ("p", "edges", "_adj", "_canon")
 
     def __init__(self, p: int, edges: Iterable[Iterable[int]] = ()):
         if p < 0:
@@ -45,7 +45,6 @@ class LabeledGraph:
         self.p = p
         self.edges = frozenset(norm)
         self._adj = adj
-        self._dist: DistanceMatrix | None = None
         self._canon: tuple[bytes, tuple[int, ...]] | None = None
 
     def neighbors(self, v: int) -> tuple[int, ...]:
@@ -84,23 +83,6 @@ class LabeledGraph:
 
     def __repr__(self) -> str:
         return f"LabeledGraph(p={self.p}, edges={self.edge_list()})"
-
-
-class DistanceMatrix:
-    """All-pairs hop counts; unreachable pairs are reported as ``None``."""
-
-    __slots__ = ("p", "_rows")
-
-    def __init__(self, rows: list[list[int]]):
-        self.p = len(rows)
-        self._rows = rows
-
-    def get(self, u: int, v: int) -> int | None:
-        d = self._rows[u][v]
-        return None if d < 0 else d
-
-    def reachable(self, u: int, v: int) -> bool:
-        return self._rows[u][v] >= 0
 
 
 @dataclass(frozen=True, order=True)
@@ -201,11 +183,9 @@ def delete_vertices(G: LabeledGraph, vs: Iterable[int]) -> LabeledGraph:
 # ── distances, powers, spans ──────────────────────────────────────────
 
 
-def all_pairs_distances(G: LabeledGraph) -> DistanceMatrix:
-    """Breadth-first hop counts per component; unreachable pairs marked."""
-    if G._dist is None:
-        G._dist = DistanceMatrix(_kernels.all_pairs_distances(G.p, G._adj))
-    return G._dist
+def all_pairs_distances(G: LabeledGraph) -> list[list[int]]:
+    """Breadth-first hop counts from every vertex; -1 marks an unreachable pair."""
+    return _kernels.all_pairs_distances(G.p, G._adj)
 
 
 def is_connected(G: LabeledGraph) -> bool:
@@ -214,26 +194,17 @@ def is_connected(G: LabeledGraph) -> bool:
     # fewer than p - 1 edges cannot connect p vertices
     if len(G.edges) < G.p - 1:
         return False
-    # one bitmask BFS from vertex 0; the distance matrix stays unbuilt
-    adj = G._adj
-    seen = frontier = 1
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << G.p) - 1
+    return _kernels.ball(G._adj, 1, G.p) == (1 << G.p) - 1
 
 
 def power(G: LabeledGraph, k: int) -> LabeledGraph:
     """k-th power: joins distinct vertices at distance between 1 and k."""
     if k < 1:
         raise ValueError("power index must be at least 1")
-    d = all_pairs_distances(G)._rows
-    edges = [(u, v) for u in range(G.p) for v in range(u + 1, G.p) if 1 <= d[u][v] <= k]
+    adj = G._adj
+    # each edge once, from its lower end: keep the vertices above u
+    edges = [(u, v) for u in range(G.p)
+             for v in _kernels.bits(_kernels.ball(adj, 1 << u, k) & -(2 << u))]
     return LabeledGraph(G.p, edges)
 
 
@@ -244,10 +215,12 @@ def is_complete(G: LabeledGraph) -> bool:
 def eccentricity(G: LabeledGraph, v: int) -> int:
     """Maximum distance from v; requires a connected graph."""
     G._check_vertex(v)
-    d = all_pairs_distances(G)._rows[v]
-    if any(x < 0 for x in d):
+    seen = 0
+    for d, layer in enumerate(_kernels.layers(G._adj, 1 << v)):
+        seen |= layer
+    if seen != (1 << G.p) - 1:
         raise DisconnectedError("eccentricity is undefined on a disconnected graph")
-    return max(d)
+    return d
 
 
 def peripheral_vertices(G: LabeledGraph) -> frozenset[int]:
@@ -265,6 +238,15 @@ def diameter(G: LabeledGraph) -> int:
     return max(eccentricity(G, v) for v in range(G.p))
 
 
+def _first_meeting(G: LabeledGraph, source: int, target: int, unreachable: str) -> int:
+    # index of the first BFS layer grown from the mask ``source`` that meets
+    # the mask ``target``
+    for d, layer in enumerate(_kernels.layers(G._adj, source)):
+        if layer & target:
+            return d
+    raise DisconnectedError(unreachable)
+
+
 def edge_distance(G: LabeledGraph, e1: Iterable[int], e2: Iterable[int]) -> int:
     """Distance between two edges: 1 + the closest endpoint distance.
 
@@ -274,37 +256,34 @@ def edge_distance(G: LabeledGraph, e1: Iterable[int], e2: Iterable[int]) -> int:
     e2 = G._check_edge(e2)
     if e1 == e2:
         return 0
-    d = all_pairs_distances(G)._rows
-    best = min((d[u][v] for u in e1 for v in e2 if d[u][v] >= 0), default=-1)
-    if best < 0:
-        raise DisconnectedError(f"edges {e1} and {e2} are in different components")
-    return best + 1
+    return 1 + _first_meeting(G, 1 << e1[0] | 1 << e1[1], 1 << e2[0] | 1 << e2[1],
+                              f"edges {e1} and {e2} are in different components")
 
 
 def edge_vertex_distance(G: LabeledGraph, e: Iterable[int], v: int) -> int:
     """Minimum distance from v to either endpoint of e."""
     e = G._check_edge(e)
     G._check_vertex(v)
-    d = all_pairs_distances(G)._rows
-    best = min((d[u][v] for u in e if d[u][v] >= 0), default=-1)
-    if best < 0:
-        raise DisconnectedError(f"vertex {v} cannot reach edge {e}")
-    return best
+    return _first_meeting(G, 1 << e[0] | 1 << e[1], 1 << v,
+                          f"vertex {v} cannot reach edge {e}")
+
+
+def _span(G: LabeledGraph, reach: int, k: int) -> frozenset[int]:
+    if k < 0:
+        raise ValueError("span radius must be non-negative")
+    return frozenset(_kernels.bits(_kernels.ball(G._adj, reach, k)))
 
 
 def vertex_span(G: LabeledGraph, v: int, k: int) -> frozenset[int]:
     """All vertices at distance at most k from v (always contains v)."""
     G._check_vertex(v)
-    if k < 0:
-        raise ValueError("span radius must be non-negative")
-    d = all_pairs_distances(G)._rows[v]
-    return frozenset(u for u in range(G.p) if 0 <= d[u] <= k)
+    return _span(G, 1 << v, k)
 
 
 def edge_span(G: LabeledGraph, e: Iterable[int], k: int) -> frozenset[int]:
     """Union of the k-spans of the edge's endpoints."""
     u, v = G._check_edge(e)
-    return vertex_span(G, u, k) | vertex_span(G, v, k)
+    return _span(G, 1 << u | 1 << v, k)
 
 
 # ── isomorphism certificates ──────────────────────────────────────────

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable
 
 from . import _kernels
 from .errors import EnumerationLimitError, NotATreeError
-from .graphs import LabeledGraph, all_pairs_distances, induced_subgraph, is_connected
+from .graphs import LabeledGraph, induced_subgraph, is_connected
 
 DEFAULT_MAX_ORDER = 12
 
@@ -151,13 +152,8 @@ def k_periphery(T: Tree, subtree_vertices: Iterable[int], k: int) -> frozenset[i
     block, _ = induced_subgraph(T.graph, sub)
     if not is_connected(block) or len(block.edges) != len(sub) - 1:
         raise ValueError("vertex set does not induce a connected subtree")
-    d = all_pairs_distances(T.graph)._rows
-    out = []
-    for v in range(T.p):
-        dv = min(d[v][u] for u in sub)
-        if dv == k:
-            out.append(v)
-    return frozenset(out)
+    layers = _kernels.layers(T.graph._adj, sum(1 << v for v in sub))
+    return frozenset(_kernels.bits(next(islice(layers, k, None), 0)))
 
 
 def weighted_form(T: Tree) -> WeightedTree:
@@ -238,30 +234,29 @@ def max_enumeration_order() -> int:
     return DEFAULT_MAX_ORDER
 
 
-def leaf_extensions(trees: Iterable[Tree]) -> Iterator[Tree]:
+def leaf_extensions(trees: Iterable[Tree]) -> dict[str, Tree]:
     """Each tree made by joining a new last vertex to some vertex of a tree.
 
-    Trees are extended in input order, attaching to vertex 0, 1, ... in turn;
-    only the first tree generated in each isomorphism class (AHU code) is
-    yielded, in generation order.
+    Trees are extended in input order, attaching to vertex 0, 1, ... in turn.
+    Returns the first tree generated in each isomorphism class, keyed by its
+    AHU code, in generation order.
     """
-    seen: set[str] = set()
+    out: dict[str, Tree] = {}
     for small in trees:
         p = small.p + 1
         base = list(small.graph.edges)
         for attach in range(small.p):
             cand = Tree(LabeledGraph(p, base + [(attach, p - 1)]))
-            code = ahu_code(cand)
-            if code not in seen:
-                seen.add(code)
-                yield cand
+            out.setdefault(ahu_code(cand), cand)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _tree_reps(p: int) -> tuple[Tree, ...]:
     if p == 1:
         return (Tree(LabeledGraph(1)),)
-    return tuple(sorted(leaf_extensions(_tree_reps(p - 1)), key=ahu_code))
+    reps = leaf_extensions(_tree_reps(p - 1))
+    return tuple(reps[code] for code in sorted(reps))
 
 
 def enumerate_trees(p: int) -> list[Tree]:

@@ -6,6 +6,7 @@ import random
 from collections import deque
 from itertools import permutations
 
+from treecube import _kernels
 from treecube.graphs import LabeledGraph
 
 
@@ -28,6 +29,14 @@ def bfs_distances_oracle(G: LabeledGraph) -> list[list[int | None]]:
                     q.append(y)
         out.append(dist)
     return out
+
+
+def refuse_distance_matrix(monkeypatch) -> None:
+    """Make any p x p distance-matrix build fail the test."""
+    def refuse(*args):
+        raise AssertionError("a p x p distance matrix was built")
+
+    monkeypatch.setattr(_kernels, "all_pairs_distances", refuse)
 
 
 def brute_force_isomorphic(G: LabeledGraph, H: LabeledGraph) -> bool:

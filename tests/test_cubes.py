@@ -1,6 +1,13 @@
+import random
+
 import pytest
 
-from helpers import bfs_distances_oracle, brute_force_maximal_cliques
+from helpers import (
+    bfs_distances_oracle,
+    brute_force_maximal_cliques,
+    random_prufer_tree,
+    refuse_distance_matrix,
+)
 from treecube.cubes import (
     RootKind,
     clique_edges_of_tree,
@@ -187,16 +194,26 @@ def test_cube_root_examples():
     assert cube_root(cycle_graph(6)).kind is RootKind.NOT_A_CUBE
 
 
-def test_cube_root_small_and_degenerate():
+def test_cube_root_small_and_degenerate(monkeypatch):
+    refuse_distance_matrix(monkeypatch)
     assert cube_root(LabeledGraph(1)).tree.p == 1
     assert cube_root(LabeledGraph(2, [(0, 1)])).tree.p == 2
     assert cube_root(LabeledGraph(0)).kind is RootKind.NOT_A_CUBE
     assert cube_root(LabeledGraph(3, [(0, 1)])).kind is RootKind.NOT_A_CUBE  # disconnected
     # a header-only input has too few edges to be connected: no p x p
     # distance matrix may be built for it
-    G = parse_graph("40000\n")
-    assert cube_root(G).kind is RootKind.NOT_A_CUBE
-    assert G._dist is None
+    assert cube_root(parse_graph("40000\n")).kind is RootKind.NOT_A_CUBE
+
+
+def test_power_and_cube_root_build_no_distance_matrix(monkeypatch):
+    # power grows one bounded BFS per vertex, so long and large inputs stay cheap
+    refuse_distance_matrix(monkeypatch)
+    assert len(power(path_graph(3000), 3).edges) == 8994
+    rng = random.Random(9)
+    T = random_prufer_tree(rng, 200)
+    perm = list(range(200))
+    rng.shuffle(perm)
+    assert cube_root(relabel(power(T, 3), perm)).kind is RootKind.UNIQUE
 
 
 def test_cube_root_complete_roots_are_all_small_diameter_trees():

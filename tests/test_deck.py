@@ -183,6 +183,15 @@ def test_parse_deck_errors_name_the_deck_file_line():
     assert str(info.value).startswith("card 3: ")
 
 
+def test_parse_deck_checks_each_card_order_when_parsed():
+    # the first card's order error wins over the second card's parse error,
+    # so a deck of oversized cards holds at most one of them
+    with pytest.raises(GraphParseError) as info:
+        parse_deck("deck 3\n\n5\n\nx y\n")
+    assert info.value.message == "card on 5 vertices in a deck of order 3"
+    assert info.value.line == 3
+
+
 def test_parse_deck_mixed_blank_lines():
     d = deck(complete_graph(4))
     text = "\n\ndeck 4\n\n\n" + "\n\n".join("3\n0 1\n0 2\n1 2" for _ in range(4)) + "\n\n"

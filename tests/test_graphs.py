@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bfs_distances_oracle, brute_force_isomorphic, all_free_trees_brute
+from helpers import (
+    all_free_trees_brute,
+    bfs_distances_oracle,
+    brute_force_isomorphic,
+    refuse_distance_matrix,
+)
 from treecube.errors import DisconnectedError, GraphParseError
 from treecube.graphs import (
     MAX_EDGELIST_ORDER,
@@ -143,10 +148,10 @@ def test_serialize_graph_formats():
 
 
 def test_distance_examples():
-    assert all_pairs_distances(path_graph(5)).get(0, 4) == 4
-    assert all_pairs_distances(LabeledGraph(2)).get(0, 1) is None
+    assert all_pairs_distances(path_graph(5))[0][4] == 4
+    assert all_pairs_distances(LabeledGraph(2))[0][1] == -1
     d = all_pairs_distances(complete_graph(4))
-    assert all(d.get(u, v) == 1 for u in range(4) for v in range(4) if u != v)
+    assert all(d[u][v] == 1 for u in range(4) for v in range(4) if u != v)
 
 
 def test_distances_match_oracle_on_random_graphs():
@@ -159,7 +164,7 @@ def test_distances_match_oracle_on_random_graphs():
         got = all_pairs_distances(G)
         for u in range(p):
             for v in range(p):
-                assert got.get(u, v) == want[u][v]
+                assert got[u][v] == (-1 if want[u][v] is None else want[u][v])
 
 
 def test_power_examples():
@@ -176,11 +181,11 @@ def test_power_examples():
 @settings(max_examples=60)
 @given(small_graphs(), st.integers(min_value=1, max_value=5))
 def test_power_adjacency_matches_distance_threshold(G, k):
-    d = all_pairs_distances(G)
+    d = bfs_distances_oracle(G)
     P = power(G, k)
     for u in range(G.p):
         for v in range(u + 1, G.p):
-            du = d.get(u, v)
+            du = d[u][v]
             assert P.has_edge(u, v) == (du is not None and 1 <= du <= k)
 
 
@@ -327,10 +332,10 @@ def test_certificate_hex_round_trip():
     assert c.order == 5
 
 
-def test_is_connected_runs_one_bfs():
+def test_is_connected_runs_one_bfs(monkeypatch):
+    refuse_distance_matrix(monkeypatch)
     G = path_graph(2000)
     assert is_connected(G)
-    assert G._dist is None  # no p x p distance matrix
     # enough edges to pass the edge-count shortcut, yet disconnected
     H = LabeledGraph(5, complete_graph(4).edges)
     assert len(H.edges) >= H.p - 1 and not is_connected(H)

@@ -47,6 +47,16 @@ def test_thm31_runs_no_canonical_labeling(monkeypatch):
     assert report.passed and report.checked > 0
 
 
+def test_lemma25_runs_no_canonical_labeling(monkeypatch):
+    # the tree of cliques and the end-deleted tree are compared by AHU code
+    def refuse(*args):
+        raise AssertionError("canonical labeling ran")
+
+    monkeypatch.setattr(_kernels, "canonical_labeling", refuse)
+    report = run_suite("lemma25", 10, workers=1)
+    assert report.passed and report.checked > 0
+
+
 class RecordingContext:
     """Stands in for a multiprocessing context: records pool sizes, starts nothing."""
 

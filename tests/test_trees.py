@@ -199,13 +199,13 @@ def test_enumeration_is_deterministic_and_nonisomorphic():
 
 def test_leaf_extensions_keep_the_first_tree_of_each_class():
     # P3 grows at vertex 0 (a P4), 1 (the star) and 2 (a second P4, dropped)
-    got = [T.graph.edge_list() for T in leaf_extensions([P(3)])]
+    got = [T.graph.edge_list() for T in leaf_extensions([P(3)]).values()]
     assert got == [[(0, 1), (0, 3), (1, 2)], [(0, 1), (1, 2), (1, 3)]]
     # classes repeated by later inputs are dropped too
-    assert [T.graph.edge_list() for T in leaf_extensions([P(3), P(3)])] == got
+    assert [T.graph.edge_list() for T in leaf_extensions([P(3), P(3)]).values()] == got
     assert list(leaf_extensions([])) == []
     for p in range(1, 9):
-        ext = list(leaf_extensions(enumerate_trees(p)))
+        ext = list(leaf_extensions(enumerate_trees(p)).values())
         assert sorted(map(ahu_code, ext)) == sorted(map(ahu_code, enumerate_trees(p + 1)))
 
 
