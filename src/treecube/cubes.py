@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import _kernels
-from .errors import AmbiguousStructureError, NotACubeError
+from .errors import AmbiguousStructureError, NotACubeError, NotATreeError
 from .graphs import (
     CanonicalForm,
     LabeledGraph,
@@ -34,11 +34,11 @@ from .graphs import (
 from .trees import (
     Tree,
     WeightedTree,
-    core_vertices,
     end_deleted,
     enumerate_trees,
     expand,
-    kth_order_terminal_edges,
+    layer_terminal_edges,
+    leaf_orders,
     leaves,
 )
 
@@ -132,24 +132,17 @@ def kth_order_terminal_cliques(G_or_T: LabeledGraph | Tree, k: int) -> list[Cliq
     """
     if k < 0:
         raise ValueError("order must be non-negative")
-    if isinstance(G_or_T, Tree):
-        T = G_or_T
-    else:
-        r = cube_root(G_or_T)
-        if r.kind is RootKind.NOT_A_CUBE:
-            raise NotACubeError("input graph is not the cube of a tree")
-        if r.kind is RootKind.AMBIGUOUS_COMPLETE:
-            raise AmbiguousStructureError("complete cube: the root tree is not unique")
-        T = r.tree
-    core = core_vertices(T, k)
+    T = G_or_T if isinstance(G_or_T, Tree) else _unique_root(G_or_T).tree
+    orders = leaf_orders(T)
+    core = frozenset().union(*orders[k:])
     if not core:
         raise ValueError(f"tree exhausted after {k} end-deletions")
     # the k-times end-deleted tree has diameter below 4 iff one more
     # end-deletion leaves at most its one or two centers
-    if len(core_vertices(T, k + 1)) <= 2:
+    if len(core) - len(orders[k]) <= 2:
         raise AmbiguousStructureError("cube is complete: no terminal clique structure")
     return [CliqueRecord(edge_span(T.graph, e, 1) & core, e)
-            for e in sorted(kth_order_terminal_edges(T, k + 1))]
+            for e in sorted(layer_terminal_edges(T, orders, k + 1))]
 
 
 # ── constructive root extraction ──────────────────────────────────────
@@ -175,14 +168,14 @@ def _constructive_root(G: LabeledGraph) -> tuple[Tree, tuple[int, ...]] | None:
     * x's own leaves are what its neighborhood has left after that.
 
     Returns the root as ``expand`` numbers it together with the map from its
-    vertices to G's. Any structural inconsistency returns None; the caller
-    verifies the labeled candidate, so this routine may be wrong but never
-    silently so.
+    vertices to G's, or None. One guard rejects early: a non-complete cube's
+    skeleton has at least two edges, so each class holds two cliques or more,
+    and a class of one is the cheap exit for about half the non-cubes. All
+    else is judged by the skeleton's ``Tree`` check, ``WeightedTree``
+    validation and the caller's labeled recubing.
     """
     cliques = maximal_cliques(G)
     m = len(cliques)
-    if m < 2:
-        return None
     overlap = [0] * m
     for i in range(m):
         for j in range(i + 1, m):
@@ -192,16 +185,11 @@ def _constructive_root(G: LabeledGraph) -> tuple[Tree, tuple[int, ...]] | None:
     classes = [_kernels.bits(mask) for mask in _kernels.maximal_cliques(m, overlap)]
     if any(len(members) < 2 for members in classes):
         return None
-    for i in range(len(classes)):
-        si = set(classes[i])
-        for j in range(i + 1, len(classes)):
-            if len(si.intersection(classes[j])) > 1:
-                return None
     cover: list[list[int]] = [[] for _ in range(m)]
     for ci, members in enumerate(classes):
         for e in members:
             cover[e].append(ci)
-    if any(len(c) == 0 or len(c) > 2 for c in cover):
+    if any(len(c) > 2 for c in cover):
         return None
 
     t = len(classes)
@@ -216,12 +204,9 @@ def _constructive_root(G: LabeledGraph) -> tuple[Tree, tuple[int, ...]] | None:
         else:
             xi_edges.append((cov[0], t + len(pendants)))
             pendants.append((e, cov[0]))
-    nxt = t + len(pendants)
-    if len(set(map(frozenset, xi_edges))) != m or nxt != m + 1:
-        return None
     try:
-        skeleton = Tree(LabeledGraph(nxt, xi_edges))
-    except Exception:
+        skeleton = Tree(LabeledGraph(t + len(pendants), xi_edges))
+    except NotATreeError:
         return None
 
     neighborhoods = []
@@ -255,8 +240,6 @@ def _constructive_root(G: LabeledGraph) -> tuple[Tree, tuple[int, ...]] | None:
         pendant_leaves.append(cliques[e] - neighborhoods[b])
     leaf_sets = [neighborhoods[ci] - used for ci in range(t)] + pendant_leaves
     vertex_map = tuple(label) + tuple(v for s in leaf_sets for v in sorted(s))
-    if len(vertex_map) != G.p:
-        return None
     try:
         root = expand(WeightedTree(skeleton, map(len, leaf_sets)))
     except ValueError:
@@ -349,21 +332,24 @@ def is_tree_cube(G: LabeledGraph) -> bool:
     return cube_root(G).kind is not RootKind.NOT_A_CUBE
 
 
-def tree_of_cliques(G: LabeledGraph) -> Tree:
-    """The tree formed by the clique edges, isomorphic to the root's skeleton."""
-    if G.p and is_complete(G):
-        raise AmbiguousStructureError("complete cube: clique structure is degenerate")
-    r = cube_root(G)
-    if r.kind is RootKind.NOT_A_CUBE:
-        raise NotACubeError("input graph is not the cube of a tree")
-    return end_deleted(r.tree)
-
-
-def terminal_vertices(G: LabeledGraph) -> frozenset[int]:
-    """Leaves of the unique root, reported as vertices of G."""
+def _unique_root(G: LabeledGraph) -> RootResult:
+    """``cube_root(G)``, raising unless G's root is unique."""
     r = cube_root(G)
     if r.kind is RootKind.NOT_A_CUBE:
         raise NotACubeError("input graph is not the cube of a tree")
     if r.kind is RootKind.AMBIGUOUS_COMPLETE:
         raise AmbiguousStructureError("complete cube: the root tree is not unique")
+    return r
+
+
+def tree_of_cliques(G: LabeledGraph) -> Tree:
+    """The tree formed by the clique edges, isomorphic to the root's skeleton."""
+    if G.p and is_complete(G):
+        raise AmbiguousStructureError("complete cube: clique structure is degenerate")
+    return end_deleted(_unique_root(G).tree)
+
+
+def terminal_vertices(G: LabeledGraph) -> frozenset[int]:
+    """Leaves of the unique root, reported as vertices of G."""
+    r = _unique_root(G)
     return frozenset(r.vertex_map[v] for v in leaves(r.tree))

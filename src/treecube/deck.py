@@ -74,21 +74,11 @@ def select_cube_cards(S: Deck) -> tuple[SelectedCard, ...]:
     Unique roots carry a single candidate; complete cards carry every tree of
     diameter below 4 on the card's order.
     """
-    roots_by_card: dict[CanonicalForm, tuple[Tree, ...] | None] = {}
-    selected = []
-    for card in S.cards:
-        if card not in roots_by_card:
-            r = cube_root(card.to_graph())
-            if r.kind is RootKind.NOT_A_CUBE:
-                roots_by_card[card] = None
-            elif r.kind is RootKind.UNIQUE:
-                roots_by_card[card] = (r.tree,)
-            else:
-                roots_by_card[card] = r.roots
-        roots = roots_by_card[card]
-        if roots is not None:
-            selected.append(SelectedCard(card, roots))
-    return tuple(selected)
+    roots: dict[CanonicalForm, tuple[Tree, ...]] = {}
+    for card in dict.fromkeys(S.cards):
+        r = cube_root(card.to_graph())
+        roots[card] = (r.tree,) if r.kind is RootKind.UNIQUE else r.roots
+    return tuple(SelectedCard(card, roots[card]) for card in S.cards if roots[card])
 
 
 @dataclass(frozen=True)
@@ -181,6 +171,8 @@ def parse_deck(text: str) -> Deck:
         p = int(header[1])
     except ValueError:
         raise GraphParseError(f"bad deck order {header[1]!r}", line=idx + 1) from None
+    if p < 1:
+        raise GraphParseError(f"deck order must be at least 1, got {p}", line=idx + 1)
     body = lines[idx + 1:]
     content = [(i, ln) for i, ln in enumerate(body) if ln.strip()]
     graphs: list[LabeledGraph] = []

@@ -455,6 +455,8 @@ def parse_graph(text: str, fmt: str | None = None) -> LabeledGraph:
     """
     if fmt not in (None, "edgelist", "graph6"):
         raise ValueError(f"unknown format {fmt!r}")
+    if not text.strip():
+        raise GraphParseError("empty input")
     if fmt is None:
         stripped = text.lstrip()
         fmt = "edgelist" if stripped[:1].isdigit() else "graph6"

@@ -185,14 +185,17 @@ def terminal_edges(T: Tree) -> frozenset[tuple[int, int]]:
 
 def kth_order_terminal_edges(T: Tree, k: int) -> frozenset[tuple[int, int]]:
     """Terminal edges of the k-times end-deleted tree, in original vertex ids."""
-    core = core_vertices(T, k)
+    return layer_terminal_edges(T, leaf_orders(T), k)
+
+
+def layer_terminal_edges(T: Tree, orders: tuple[frozenset[int], ...],
+                         k: int) -> frozenset[tuple[int, int]]:
+    """Edges inside the k-core with an endpoint in L_k, given T's ``leaf_orders``."""
+    core = frozenset().union(*orders[k:])
     if not core:
         raise ValueError(f"tree exhausted after {k} end-deletions")
-    deg = {v: sum(1 for u in T.neighbors(v) if u in core) for v in core}
-    return frozenset(
-        e for e in T.graph.edges
-        if e[0] in core and e[1] in core and (deg[e[0]] == 1 or deg[e[1]] == 1)
-    )
+    return frozenset(e for e in T.graph.edges if e[0] in core and e[1] in core
+                     and (e[0] in orders[k] or e[1] in orders[k]))
 
 
 # ── free-tree enumeration ─────────────────────────────────────────────

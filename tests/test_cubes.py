@@ -444,3 +444,52 @@ def test_cube_root_needs_no_enumeration_fallback():
                 assert r.kind is RootKind.UNIQUE
                 assert ahu_code(r.tree) == code
                 assert_maps_cube_onto(r, G)
+
+
+def test_cube_root_agrees_with_oracle_on_perturbed_and_deleted_cubes():
+    # the negative paths of the constructive pass: every copy of a relabeled
+    # tree cube with one vertex pair toggled, and every vertex-deleted card,
+    # gets the oracle's kind, and unique roots agree up to isomorphism
+    import random
+    from treecube.graphs import delete_vertex
+    from treecube.trees import ahu_code
+    rng = random.Random(5)
+    checked = {kind: 0 for kind in RootKind}
+    for p in range(5, 10):
+        for T in enumerate_trees(p):
+            G = relabeled_cube(T, rng)
+            variants = [G] + [delete_vertex(G, v) for v in range(p)]
+            variants += [LabeledGraph(p, G.edges ^ {(u, v)})
+                         for u in range(p) for v in range(u + 1, p)]
+            for H in variants:
+                r, want = cube_root(H), cube_root_oracle(H)
+                assert r.kind is want.kind, H.edge_list()
+                if r.kind is RootKind.UNIQUE:
+                    assert ahu_code(r.tree) == ahu_code(want.tree)
+                checked[r.kind] += 1
+    assert min(checked.values()) > 0 and sum(checked.values()) == 3_512
+
+
+def test_kth_order_terminal_cliques_peels_once(monkeypatch):
+    import treecube.cubes as cubes
+    import treecube.trees as trees
+    peel = trees.leaf_orders
+    calls = []
+
+    def counted(T):
+        calls.append(T)
+        return peel(T)
+
+    monkeypatch.setattr(trees, "leaf_orders", counted)
+    monkeypatch.setattr(cubes, "leaf_orders", counted, raising=False)
+    for k in range(3):
+        calls.clear()
+        assert len(kth_order_terminal_cliques(P(11), k)) == 2
+        assert len(calls) == 1
+
+
+def test_kth_order_terminal_cliques_rejects_graphs_without_a_unique_root():
+    with pytest.raises(NotACubeError, match="not the cube of a tree"):
+        kth_order_terminal_cliques(cycle_graph(6), 0)
+    with pytest.raises(AmbiguousStructureError, match="root tree is not unique"):
+        kth_order_terminal_cliques(complete_graph(6), 0)

@@ -173,6 +173,15 @@ def test_parse_deck_errors():
         parse_deck(text.replace("deck 4", "deck 5"))
 
 
+def test_parse_deck_rejects_an_order_below_one_at_its_header():
+    # an empty deck would otherwise parse, and a negative order fail late
+    for text, order, line in (("deck -2\n", -2, 1), ("\ndeck 0\n\n1\n", 0, 2)):
+        with pytest.raises(GraphParseError) as info:
+            parse_deck(text)
+        assert info.value.message == f"deck order must be at least 1, got {order}"
+        assert info.value.line == line
+
+
 def test_parse_deck_errors_name_the_deck_file_line():
     with pytest.raises(GraphParseError) as info:
         parse_deck("deck 4\nBw\nBw\nB!\nBw\n")

@@ -96,6 +96,13 @@ def test_parse_rejects_duplicates_and_garbage():
         parse_graph("3\n0 1 2")
 
 
+def test_parse_reports_blank_input_as_empty():
+    for text in ("", "  \n\n", "\t"):
+        with pytest.raises(GraphParseError) as exc:
+            parse_graph(text)
+        assert exc.value.message == "empty input"
+
+
 def test_parse_caps_the_edgelist_header():
     # the header is checked before any per-vertex state is allocated
     with pytest.raises(GraphParseError) as exc:

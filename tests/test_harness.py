@@ -149,6 +149,18 @@ def test_noncube_corpus_is_deterministic_and_labeled():
         assert deck_check(G, deck(G))
 
 
+def test_recognition_negative_runs_above_the_enumeration_cap(monkeypatch, capsys):
+    # the corpus is filtered by cube_root, so nothing in the suite enumerates
+    from treecube.cli import main
+    monkeypatch.delenv("TREECUBE_MAX_ORDER", raising=False)
+    corpus = recognition_negative_corpus(13)
+    assert len(corpus) == 10 + 1 + 50 and max(G.p for G in corpus) == 13
+    report = run_suite("recognition-negative", 13)
+    assert report.passed and report.checked == 61
+    assert main(["verify", "recognition-negative", "--max-order", "13"]) == 0
+    assert "checked 61" in capsys.readouterr().out
+
+
 def test_recognition_corpus_contents():
     corpus = recognition_negative_corpus(8)
     assert len(corpus) == 5 + 1 + 50  # C4..C8, K33, 50 random
