@@ -18,7 +18,6 @@ from .cubes import (
     kth_order_terminal_cliques,
     maximal_cliques,
     terminal_cliques,
-    terminal_vertices,
     tree_of_cliques,
 )
 from .deck import (
@@ -46,7 +45,6 @@ from .errors import (
 from .graphs import (
     CanonicalForm,
     LabeledGraph,
-    all_pairs_distances,
     canonical_form,
     complete_bipartite_graph,
     complete_graph,
@@ -55,9 +53,7 @@ from .graphs import (
     delete_vertices,
     diameter,
     eccentricity,
-    edge_distance,
     edge_span,
-    edge_vertex_distance,
     induced_subgraph,
     is_complete,
     is_connected,
@@ -72,7 +68,6 @@ from .graphs import (
     star_graph,
     to_edgelist,
     to_graph6,
-    vertex_span,
 )
 from .harness import (
     CollisionPair,
@@ -94,7 +89,6 @@ from .trees import (
     enumerate_trees,
     expand,
     is_tree,
-    k_periphery,
     kth_order_terminal_edges,
     leaf_extensions,
     leaf_orders,

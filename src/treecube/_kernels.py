@@ -44,7 +44,10 @@ def layers(adj: list[int], reach: int) -> Iterator[int]:
 
 
 def all_pairs_distances(p: int, adj: list[int]) -> list[list[int]]:
-    """BFS hop counts from every source; -1 marks unreachable pairs."""
+    """BFS hop counts from every source; -1 marks unreachable pairs.
+
+    Nothing in the package calls it: the benchmark tracer and the tests do.
+    """
     dist = [[-1] * p for _ in range(p)]
     for s in range(p):
         row = dist[s]
@@ -250,35 +253,37 @@ def canonical_labeling(p: int, adj: list[int]) -> tuple[bytes, list[int]]:
     return st.best, st.best_perm
 
 
+def _bk(adj: list[int], r: int, cand: int, excl: int, out: list[int]) -> None:
+    # Bron–Kerbosch with a pivot: appends to out each maximal clique that
+    # extends r by vertices of cand and contains no vertex of excl
+    if not cand and not excl:
+        out.append(r)
+        return
+    pux = cand | excl
+    pivot = -1
+    pivot_cnt = -1
+    m = pux
+    while m:
+        u = (m & -m).bit_length() - 1
+        m &= m - 1
+        cnt = (cand & adj[u]).bit_count()
+        if cnt > pivot_cnt:
+            pivot_cnt = cnt
+            pivot = u
+    ext = cand & ~adj[pivot]
+    while ext:
+        v = (ext & -ext).bit_length() - 1
+        ext &= ext - 1
+        bit = 1 << v
+        _bk(adj, r | bit, cand & adj[v], excl & adj[v], out)
+        cand &= ~bit
+        excl |= bit
+
+
 def maximal_cliques(p: int, adj: list[int]) -> list[int]:
     """All inclusion-maximal cliques as bitmasks, sorted by vertex tuple."""
     out: list[int] = []
-
-    def bk(r: int, cand: int, excl: int) -> None:
-        if not cand and not excl:
-            out.append(r)
-            return
-        pux = cand | excl
-        pivot = -1
-        pivot_cnt = -1
-        m = pux
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            cnt = (cand & adj[u]).bit_count()
-            if cnt > pivot_cnt:
-                pivot_cnt = cnt
-                pivot = u
-        ext = cand & ~adj[pivot]
-        while ext:
-            v = (ext & -ext).bit_length() - 1
-            ext &= ext - 1
-            bit = 1 << v
-            bk(r | bit, cand & adj[v], excl & adj[v])
-            cand &= ~bit
-            excl |= bit
-
     if p:
-        bk(0, (1 << p) - 1, 0)
+        _bk(adj, 0, (1 << p) - 1, 0, out)
     out.sort(key=bits)
     return out

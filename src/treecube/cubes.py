@@ -348,8 +348,3 @@ def tree_of_cliques(G: LabeledGraph) -> Tree:
         raise AmbiguousStructureError("complete cube: clique structure is degenerate")
     return end_deleted(_unique_root(G).tree)
 
-
-def terminal_vertices(G: LabeledGraph) -> frozenset[int]:
-    """Leaves of the unique root, reported as vertices of G."""
-    r = _unique_root(G)
-    return frozenset(r.vertex_map[v] for v in leaves(r.tree))

@@ -174,36 +174,35 @@ def parse_deck(text: str) -> Deck:
     if p < 1:
         raise GraphParseError(f"deck order must be at least 1, got {p}", line=idx + 1)
     body = lines[idx + 1:]
-    content = [(i, ln) for i, ln in enumerate(body) if ln.strip()]
+    first = next((ln.strip() for ln in body if ln.strip()), "")
+    graph6 = not first[:1].isdigit()
+    # split the body into cards before parsing any, so the count is checked
+    # first: a card is one graph6 line or one blank-line-separated edge-list
+    # block, kept with the deck-file number of its first line
+    cards: list[tuple[int, list[str]]] = []
+    fresh = True
+    for no, ln in enumerate(body, start=idx + 2):
+        if not ln.strip():
+            fresh = True
+        elif fresh or graph6:
+            cards.append((no, [ln]))
+            fresh = False
+        else:
+            cards[-1][1].append(ln)
+    if len(cards) != p:
+        raise GraphParseError(f"deck of order {p} needs {p} cards, found {len(cards)}")
     graphs: list[LabeledGraph] = []
-
-    def add(i: int, G: LabeledGraph) -> None:
-        # body line i is line idx + 2 + i of the deck file; each card's order
-        # is checked as soon as it is parsed, so a bad card is never held
+    for n, (no, card) in enumerate(cards, start=1):
+        if graph6:
+            G = _parse_graph6(card[0], line=no)
+        else:
+            try:
+                G = _parse_edgelist("\n".join(card), line=no)
+            except GraphParseError as exc:
+                raise GraphParseError(f"card {n}: {exc.message}", exc.line, exc.offset) from None
+        # each card's order is checked as soon as it is parsed, so a bad card
+        # is never held
         if G.p != p - 1:
-            raise GraphParseError(
-                f"card on {G.p} vertices in a deck of order {p}", line=idx + 2 + i)
+            raise GraphParseError(f"card on {G.p} vertices in a deck of order {p}", line=no)
         graphs.append(G)
-
-    if content and not content[0][1].strip()[:1].isdigit():
-        for i, ln in content:
-            add(i, _parse_graph6(ln, line=idx + 2 + i))
-    else:
-        block: list[str] = []
-        start = 0
-        for i, ln in enumerate(body + [""]):
-            if ln.strip():
-                if not block:
-                    start = i
-                block.append(ln)
-            elif block:
-                try:
-                    G = _parse_edgelist("\n".join(block), line=idx + 2 + start)
-                except GraphParseError as exc:
-                    raise GraphParseError(
-                        f"card {len(graphs) + 1}: {exc.message}", exc.line, exc.offset) from None
-                add(start, G)
-                block = []
-    if len(graphs) != p:
-        raise GraphParseError(f"deck of order {p} needs {p} cards, found {len(graphs)}")
     return Deck(tuple(canonical_form(G) for G in graphs))

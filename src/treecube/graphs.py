@@ -1,4 +1,4 @@
-"""Simple undirected graphs: parsing, distances, powers, spans, certificates.
+"""Simple undirected graphs: parsing, eccentricities, powers, edge spans, certificates.
 
 Vertices are dense integers ``0..p-1``. Values are immutable after
 construction and safe to share across workers; every operation here is a pure
@@ -183,11 +183,6 @@ def delete_vertices(G: LabeledGraph, vs: Iterable[int]) -> LabeledGraph:
 # ── distances, powers, spans ──────────────────────────────────────────
 
 
-def all_pairs_distances(G: LabeledGraph) -> list[list[int]]:
-    """Breadth-first hop counts from every vertex; -1 marks an unreachable pair."""
-    return _kernels.all_pairs_distances(G.p, G._adj)
-
-
 def is_connected(G: LabeledGraph) -> bool:
     if G.p <= 1:
         return True
@@ -238,52 +233,12 @@ def diameter(G: LabeledGraph) -> int:
     return max(eccentricity(G, v) for v in range(G.p))
 
 
-def _first_meeting(G: LabeledGraph, source: int, target: int, unreachable: str) -> int:
-    # index of the first BFS layer grown from the mask ``source`` that meets
-    # the mask ``target``
-    for d, layer in enumerate(_kernels.layers(G._adj, source)):
-        if layer & target:
-            return d
-    raise DisconnectedError(unreachable)
-
-
-def edge_distance(G: LabeledGraph, e1: Iterable[int], e2: Iterable[int]) -> int:
-    """Distance between two edges: 1 + the closest endpoint distance.
-
-    Identical edges are at distance 0 by convention.
-    """
-    e1 = G._check_edge(e1)
-    e2 = G._check_edge(e2)
-    if e1 == e2:
-        return 0
-    return 1 + _first_meeting(G, 1 << e1[0] | 1 << e1[1], 1 << e2[0] | 1 << e2[1],
-                              f"edges {e1} and {e2} are in different components")
-
-
-def edge_vertex_distance(G: LabeledGraph, e: Iterable[int], v: int) -> int:
-    """Minimum distance from v to either endpoint of e."""
-    e = G._check_edge(e)
-    G._check_vertex(v)
-    return _first_meeting(G, 1 << e[0] | 1 << e[1], 1 << v,
-                          f"vertex {v} cannot reach edge {e}")
-
-
-def _span(G: LabeledGraph, reach: int, k: int) -> frozenset[int]:
+def edge_span(G: LabeledGraph, e: Iterable[int], k: int) -> frozenset[int]:
+    """Vertices at distance at most k from either end of the edge."""
+    u, v = G._check_edge(e)
     if k < 0:
         raise ValueError("span radius must be non-negative")
-    return frozenset(_kernels.bits(_kernels.ball(G._adj, reach, k)))
-
-
-def vertex_span(G: LabeledGraph, v: int, k: int) -> frozenset[int]:
-    """All vertices at distance at most k from v (always contains v)."""
-    G._check_vertex(v)
-    return _span(G, 1 << v, k)
-
-
-def edge_span(G: LabeledGraph, e: Iterable[int], k: int) -> frozenset[int]:
-    """Union of the k-spans of the edge's endpoints."""
-    u, v = G._check_edge(e)
-    return _span(G, 1 << u | 1 << v, k)
+    return frozenset(_kernels.bits(_kernels.ball(G._adj, 1 << u | 1 << v, k)))
 
 
 # ── isomorphism certificates ──────────────────────────────────────────

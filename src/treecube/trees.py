@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import islice
 from typing import Iterable
 
 from . import _kernels
@@ -138,22 +137,6 @@ def core_vertices(T: Tree, k: int) -> frozenset[int]:
     if k < 0:
         raise ValueError("deletion count must be non-negative")
     return frozenset().union(*leaf_orders(T)[k:])
-
-
-def k_periphery(T: Tree, subtree_vertices: Iterable[int], k: int) -> frozenset[int]:
-    """Vertices at distance exactly k from a connected subtree."""
-    if k < 0:
-        raise ValueError("periphery distance must be non-negative")
-    sub = sorted(set(subtree_vertices))
-    if not sub:
-        raise ValueError("subtree must be nonempty")
-    for v in sub:
-        T.graph._check_vertex(v)
-    block, _ = induced_subgraph(T.graph, sub)
-    if not is_connected(block) or len(block.edges) != len(sub) - 1:
-        raise ValueError("vertex set does not induce a connected subtree")
-    layers = _kernels.layers(T.graph._adj, sum(1 << v for v in sub))
-    return frozenset(_kernels.bits(next(islice(layers, k, None), 0)))
 
 
 def weighted_form(T: Tree) -> WeightedTree:

@@ -18,7 +18,6 @@ from treecube.cubes import (
     kth_order_terminal_cliques,
     maximal_cliques,
     terminal_cliques,
-    terminal_vertices,
     tree_of_cliques,
 )
 from treecube.errors import AmbiguousStructureError, EnumerationLimitError, NotACubeError
@@ -299,24 +298,19 @@ def test_is_tree_cube_examples():
         assert is_tree_cube(complete_graph(p))
 
 
-def test_terminal_vertices_examples():
-    assert terminal_vertices(power(path_graph(5), 3)) == {0, 4}
-    assert terminal_vertices(power(path_graph(7), 3)) == {0, 6}
-    with pytest.raises(AmbiguousStructureError):
-        terminal_vertices(complete_graph(5))
-    with pytest.raises(NotACubeError):
-        terminal_vertices(cycle_graph(6))
-
-
 def test_terminal_vertices_are_a_valid_root_leaf_set():
     # The labeled root embedding of a cube need not be unique (K7 minus one
     # edge has roots whose leaf sets differ outside the forced non-edge
     # endpoints), so check the embedding-invariant facts: the count matches
-    # the isomorphism class, every reported vertex deletes to a tree cube,
-    # and the answer is deterministic.
-    from treecube.graphs import delete_vertex, relabel
-    import random
+    # the isomorphism class, every root leaf mapped into the graph deletes to
+    # a tree cube, and the answer is deterministic.
+    from treecube.graphs import delete_vertex
     rng = random.Random(31)
+
+    def mapped_leaves(H):
+        r = cube_root(H)
+        return {r.vertex_map[v] for v in leaves(r.tree)}
+
     for T in enumerate_trees(7):
         G = power(T.graph, 3)
         if is_complete(G):
@@ -324,11 +318,11 @@ def test_terminal_vertices_are_a_valid_root_leaf_set():
         perm = list(range(G.p))
         rng.shuffle(perm)
         H = relabel(G, perm)
-        tv = terminal_vertices(H)
+        tv = mapped_leaves(H)
         assert len(tv) == len(leaves(T))
         for v in tv:
             assert is_tree_cube(delete_vertex(H, v))
-        assert terminal_vertices(H) == tv
+        assert mapped_leaves(LabeledGraph(H.p, H.edges)) == tv
 
 
 def test_theorem_31_leaf_deletion_equivalence_spot():
@@ -411,7 +405,6 @@ def test_cube_root_runs_no_canonical_labeling(monkeypatch):
         assert r.kind is RootKind.UNIQUE
         assert ahu_code(r.tree) == ahu_code(T)
         assert_maps_cube_onto(r, G)
-        assert len(terminal_vertices(G)) == len(leaves(T))
 
 
 def test_labeled_check_rejects_a_misplaced_vertex():

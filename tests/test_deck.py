@@ -193,12 +193,37 @@ def test_parse_deck_errors_name_the_deck_file_line():
 
 
 def test_parse_deck_checks_each_card_order_when_parsed():
-    # the first card's order error wins over the second card's parse error,
+    # the first card's order error wins over a later card's parse error,
     # so a deck of oversized cards holds at most one of them
     with pytest.raises(GraphParseError) as info:
-        parse_deck("deck 3\n\n5\n\nx y\n")
+        parse_deck("deck 3\n\n5\n\nx y\n\n2\n0 1\n")
     assert info.value.message == "card on 5 vertices in a deck of order 3"
     assert info.value.line == 3
+    # with a block too few, the count fails before any card is read
+    with pytest.raises(GraphParseError) as info:
+        parse_deck("deck 3\n\n5\n\nx y\n")
+    assert info.value.message == "deck of order 3 needs 3 cards, found 2"
+
+
+def test_parse_deck_counts_cards_before_parsing_any(monkeypatch):
+    # a short header that declares a huge order must not get its cards built
+    import sys
+    deck_module = sys.modules["treecube.deck"]
+    parsed = []
+    real = deck_module._parse_edgelist
+
+    def counting(*args, **kwargs):
+        parsed.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(deck_module, "_parse_edgelist", counting)
+    with pytest.raises(GraphParseError) as info:
+        parse_deck("deck 1048577\n" + "\n1048576\n" * 12)
+    assert info.value.message == "deck of order 1048577 needs 1048577 cards, found 12"
+    assert parsed == []
+    with pytest.raises(GraphParseError) as info:
+        parse_deck("deck 4\nBw\nB!\nBw\n")
+    assert info.value.message == "deck of order 4 needs 4 cards, found 3"
 
 
 def test_parse_deck_mixed_blank_lines():

@@ -11,21 +11,19 @@ from helpers import (
     brute_force_isomorphic,
     refuse_distance_matrix,
 )
+from treecube import _kernels
 from treecube.errors import DisconnectedError, GraphParseError
 from treecube.graphs import (
     MAX_EDGELIST_ORDER,
     CanonicalForm,
     LabeledGraph,
-    all_pairs_distances,
     canonical_form,
     complete_graph,
     cycle_graph,
     delete_vertex,
     diameter,
     eccentricity,
-    edge_distance,
     edge_span,
-    edge_vertex_distance,
     is_complete,
     is_connected,
     is_isomorphic,
@@ -39,7 +37,6 @@ from treecube.graphs import (
     star_graph,
     to_edgelist,
     to_graph6,
-    vertex_span,
 )
 
 
@@ -154,10 +151,14 @@ def test_serialize_graph_formats():
 # ── distances and powers ──────────────────────────────────────────────
 
 
+def _distances(G):
+    return _kernels.all_pairs_distances(G.p, G._adj)
+
+
 def test_distance_examples():
-    assert all_pairs_distances(path_graph(5))[0][4] == 4
-    assert all_pairs_distances(LabeledGraph(2))[0][1] == -1
-    d = all_pairs_distances(complete_graph(4))
+    assert _distances(path_graph(5))[0][4] == 4
+    assert _distances(LabeledGraph(2))[0][1] == -1
+    d = _distances(complete_graph(4))
     assert all(d[u][v] == 1 for u in range(4) for v in range(4) if u != v)
 
 
@@ -168,7 +169,7 @@ def test_distances_match_oracle_on_random_graphs():
         edges = [(u, v) for u in range(p) for v in range(u + 1, p) if rng.random() < 0.3]
         G = LabeledGraph(p, edges)
         want = bfs_distances_oracle(G)
-        got = all_pairs_distances(G)
+        got = _distances(G)
         for u in range(p):
             for v in range(p):
                 assert got[u][v] == (-1 if want[u][v] is None else want[u][v])
@@ -214,33 +215,7 @@ def test_is_complete_examples():
     assert is_complete(LabeledGraph(1))
 
 
-# ── spans, eccentricity, edge distances ───────────────────────────────
-
-
-def test_edge_distance_examples():
-    P5 = path_graph(5)
-    assert edge_distance(P5, (0, 1), (3, 4)) == 3
-    assert edge_distance(P5, (0, 1), (1, 2)) == 1
-    assert edge_distance(P5, (0, 1), (0, 1)) == 0
-    with pytest.raises(ValueError):
-        edge_distance(P5, (0, 2), (3, 4))
-    G = LabeledGraph(4, [(0, 1), (2, 3)])
-    with pytest.raises(DisconnectedError):
-        edge_distance(G, (0, 1), (2, 3))
-
-
-def test_edge_vertex_distance_examples():
-    P5 = path_graph(5)
-    assert edge_vertex_distance(P5, (0, 1), 4) == 3
-    assert edge_vertex_distance(P5, (0, 1), 0) == 0
-    assert edge_vertex_distance(P5, (1, 2), 3) == 1
-
-
-def test_vertex_span_examples():
-    P7 = path_graph(7)
-    assert vertex_span(P7, 3, 0) == {3}
-    assert vertex_span(P7, 3, 2) == {1, 2, 3, 4, 5}
-    assert vertex_span(complete_graph(4), 2, 1) == {0, 1, 2, 3}
+# ── edge spans and eccentricity ───────────────────────────────────────
 
 
 def test_edge_span_examples():
@@ -248,13 +223,19 @@ def test_edge_span_examples():
     assert edge_span(P7, (2, 3), 1) == {1, 2, 3, 4}
     assert edge_span(P7, (2, 3), 0) == {2, 3}
     assert edge_span(path_graph(5), (1, 2), 1) == {0, 1, 2, 3}
+    with pytest.raises(ValueError):
+        edge_span(P7, (2, 4), 1)
+    with pytest.raises(ValueError):
+        edge_span(P7, (2, 3), -1)
 
 
 @settings(max_examples=50)
 @given(small_graphs(), st.integers(min_value=0, max_value=4))
 def test_edge_span_is_union_of_vertex_spans(G, k):
-    for e in sorted(G.edges):
-        assert edge_span(G, e, k) == vertex_span(G, e[0], k) | vertex_span(G, e[1], k)
+    d = bfs_distances_oracle(G)
+    for u, v in sorted(G.edges):
+        want = {w for w in range(G.p) for s in (u, v) if d[s][w] is not None and d[s][w] <= k}
+        assert edge_span(G, (u, v), k) == want
 
 
 def test_eccentricity_and_peripheral():

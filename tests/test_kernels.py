@@ -1,6 +1,7 @@
 """The pure-Python kernels on a fixed corpus, and the names callers rely on."""
 
 import ast
+import gc
 import importlib
 import itertools
 import random
@@ -84,6 +85,19 @@ def test_python_kernels_handle_large_orders():
     bits, perm = _kernels.canonical_labeling(p, a)
     assert sorted(perm) == list(range(p))
     assert len(_kernels.maximal_cliques(p, a)) == p - 1
+
+
+def test_maximal_cliques_leaves_no_reference_cycle():
+    p = 30
+    a = adj_masks(p, [(u, v) for u in range(p) for v in range(u + 1, min(u + 4, p))])
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(100):
+            assert len(_kernels.maximal_cliques(p, a)) == p - 3
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_canonical_labeling_realizes_bits():

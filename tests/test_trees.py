@@ -24,7 +24,6 @@ from treecube.trees import (
     enumerate_trees,
     expand,
     is_tree,
-    k_periphery,
     kth_order_terminal_edges,
     leaf_extensions,
     leaf_orders,
@@ -98,16 +97,6 @@ def test_leaf_orders_partition_all_trees():
                 seen |= s
             assert seen == set(range(T.p))
             assert 1 <= len(lo[-1]) <= 2
-
-
-def test_k_periphery_examples():
-    assert k_periphery(P(7), {3}, 2) == {1, 5}
-    assert k_periphery(P(7), {2, 3, 4}, 0) == {2, 3, 4}
-    assert k_periphery(P(7), {2, 3, 4}, 2) == {0, 6}
-    with pytest.raises(ValueError):
-        k_periphery(P(7), {0, 2}, 1)
-    with pytest.raises(ValueError):
-        k_periphery(P(7), set(), 1)
 
 
 def test_weighted_form_examples():
