@@ -24,8 +24,8 @@ from .errors import AmbiguousStructureError, NotACubeError, NotATreeError
 from .graphs import (
     CanonicalForm,
     LabeledGraph,
+    _canonical,
     canonical_form,
-    canonical_order,
     edge_span,
     is_complete,
     is_connected,
@@ -61,34 +61,31 @@ class RootKind(enum.Enum):
 class RootResult:
     """Outcome of cube-root extraction.
 
-    ``tree`` is set for unique roots, and ``vertex_map[v]`` is the vertex of
-    the input graph that root vertex ``v`` stands for: the cube of ``tree``,
-    relabeled through that map, is the input graph edge for edge. For
-    complete inputs on at least 3 vertices, ``roots`` lists every diameter-<=3
-    tree of that order (the star, then the double stars). The vertex map is
-    not serialized and takes no part in equality.
+    ``roots`` holds every root: one tree for a unique root, every
+    diameter-<=3 tree of the order for a complete input on at least 3
+    vertices (the star, then the double stars), none for a non-cube. For a
+    unique root, ``vertex_map[v]`` is the vertex of the input graph that root
+    vertex ``v`` stands for: the cube of the root, relabeled through that map,
+    is the input graph edge for edge. The vertex map is not serialized and
+    takes no part in equality.
     """
 
     kind: RootKind
-    tree: Tree | None = None
     roots: tuple[Tree, ...] = ()
     vertex_map: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def unique(cls, tree: Tree, vertex_map: tuple[int, ...] | None = None) -> "RootResult":
-        return cls(RootKind.UNIQUE, tree=tree, vertex_map=vertex_map)
+        return cls(RootKind.UNIQUE, (tree,), vertex_map)
 
-    @classmethod
-    def ambiguous_complete(cls, roots: tuple[Tree, ...]) -> "RootResult":
-        return cls(RootKind.AMBIGUOUS_COMPLETE, roots=roots)
-
-    @classmethod
-    def not_a_cube(cls) -> "RootResult":
-        return cls(RootKind.NOT_A_CUBE)
+    @property
+    def tree(self) -> Tree | None:
+        """The root when it is unique, else None."""
+        return self.roots[0] if self.kind is RootKind.UNIQUE else None
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind.value}
-        if self.tree is not None:
+        if self.kind is RootKind.UNIQUE:
             out["root_edges"] = self.tree.graph.edge_list()
             out["root_certificate"] = canonical_form(self.tree.graph).hex()
         if self.kind is RootKind.AMBIGUOUS_COMPLETE:
@@ -272,9 +269,15 @@ def _complete_roots(p: int) -> tuple[Tree, ...]:
 
 
 @lru_cache(maxsize=None)
-def _cube_canonical(T: Tree) -> tuple[CanonicalForm, tuple[int, ...]]:
-    cube = power(T.graph, 3)
-    return canonical_form(cube), canonical_order(cube)
+def _cubes_by_certificate(p: int) -> dict[CanonicalForm, tuple[tuple[Tree, ...], tuple[int, ...]]]:
+    """Each cube certificate of order p mapped to the trees that cube to it,
+    in enumeration order, and the canonical order of the first one's cube."""
+    table: dict = {}
+    for T in enumerate_trees(p):
+        cert, order = _canonical(power(T.graph, 3))
+        trees, first_order = table.get(cert, ((), order))
+        table[cert] = (trees + (T,), first_order)
+    return table
 
 
 def cube_root(G: LabeledGraph) -> RootResult:
@@ -290,16 +293,16 @@ def cube_root(G: LabeledGraph) -> RootResult:
     """
     p = G.p
     if p == 0 or not is_connected(G):
-        return RootResult.not_a_cube()
+        return RootResult(RootKind.NOT_A_CUBE)
     if p <= 2:
         root = Tree(LabeledGraph(p, [(0, 1)] if p == 2 else []))
         return RootResult.unique(root, tuple(range(p)))
     if is_complete(G):
-        return RootResult.ambiguous_complete(_complete_roots(p))
+        return RootResult(RootKind.AMBIGUOUS_COMPLETE, _complete_roots(p))
     found = _constructive_root(G)
     if found is not None and _is_labeled_cube(G, *found):
         return RootResult.unique(*found)
-    return RootResult.not_a_cube()
+    return RootResult(RootKind.NOT_A_CUBE)
 
 
 def cube_root_oracle(G: LabeledGraph) -> RootResult:
@@ -310,17 +313,18 @@ def cube_root_oracle(G: LabeledGraph) -> RootResult:
     """
     p = G.p
     if p == 0 or not is_connected(G):
-        return RootResult.not_a_cube()
-    trees = enumerate_trees(p)
-    target = canonical_form(G)
-    matches = [T for T in trees if _cube_canonical(T)[0] == target]
-    if not matches:
-        return RootResult.not_a_cube()
+        return RootResult(RootKind.NOT_A_CUBE)
+    # the cap refuses on every call, even when the table is cached, and
+    # before any labeling
+    enumerate_trees(p)
+    table = _cubes_by_certificate(p)
+    target, order_g = _canonical(G)
+    if target not in table:
+        return RootResult(RootKind.NOT_A_CUBE)
+    matches, order_t = table[target]
     if p >= 3 and is_complete(G):
-        return RootResult.ambiguous_complete(tuple(matches))
-    # the canonical orders of T's cube and of G carry one onto the other
-    order_t = _cube_canonical(matches[0])[1]
-    order_g = canonical_order(G)
+        return RootResult(RootKind.AMBIGUOUS_COMPLETE, matches)
+    # the canonical orders of the root's cube and of G carry one onto the other
     vertex_map = [0] * p
     for i, v in enumerate(order_t):
         vertex_map[v] = order_g[i]

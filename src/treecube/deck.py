@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cubes import RootKind, cube_root
+from .cubes import cube_root
 from .errors import GraphParseError, OrderTooSmallError
 from .graphs import (
     CanonicalForm,
@@ -74,10 +74,7 @@ def select_cube_cards(S: Deck) -> tuple[SelectedCard, ...]:
     Unique roots carry a single candidate; complete cards carry every tree of
     diameter below 4 on the card's order.
     """
-    roots: dict[CanonicalForm, tuple[Tree, ...]] = {}
-    for card in dict.fromkeys(S.cards):
-        r = cube_root(card.to_graph())
-        roots[card] = (r.tree,) if r.kind is RootKind.UNIQUE else r.roots
+    roots = {card: cube_root(card.to_graph()).roots for card in dict.fromkeys(S.cards)}
     return tuple(SelectedCard(card, roots[card]) for card in S.cards if roots[card])
 
 
@@ -156,6 +153,13 @@ def deck_to_text(S: Deck, fmt: str = "edgelist") -> str:
     return "\n".join(lines) + "\n"
 
 
+# Largest order a deck header may declare. A deck holds p certificates of
+# (p - 1)(p - 2) / 2 bits each, so its cost grows as p^3 while the text of an
+# edgeless deck grows only as p: at this cap such a deck (1.3 KB) parses in
+# about a second on a 2-core Xeon host.
+MAX_DECK_ORDER = 256
+
+
 def parse_deck(text: str) -> Deck:
     """Parse a deck file (edge-list blocks or one graph6 string per line)."""
     lines = text.splitlines()
@@ -173,6 +177,9 @@ def parse_deck(text: str) -> Deck:
         raise GraphParseError(f"bad deck order {header[1]!r}", line=idx + 1) from None
     if p < 1:
         raise GraphParseError(f"deck order must be at least 1, got {p}", line=idx + 1)
+    if p > MAX_DECK_ORDER:
+        raise GraphParseError(
+            f"deck order {p} exceeds the deck limit {MAX_DECK_ORDER}", line=idx + 1)
     body = lines[idx + 1:]
     first = next((ln.strip() for ln in body if ln.strip()), "")
     graph6 = not first[:1].isdigit()
@@ -191,15 +198,13 @@ def parse_deck(text: str) -> Deck:
             cards[-1][1].append(ln)
     if len(cards) != p:
         raise GraphParseError(f"deck of order {p} needs {p} cards, found {len(cards)}")
+    parse = _parse_graph6 if graph6 else _parse_edgelist
     graphs: list[LabeledGraph] = []
     for n, (no, card) in enumerate(cards, start=1):
-        if graph6:
-            G = _parse_graph6(card[0], line=no)
-        else:
-            try:
-                G = _parse_edgelist("\n".join(card), line=no)
-            except GraphParseError as exc:
-                raise GraphParseError(f"card {n}: {exc.message}", exc.line, exc.offset) from None
+        try:
+            G = parse("\n".join(card), line=no)
+        except GraphParseError as exc:
+            raise GraphParseError(f"card {n}: {exc.message}", exc.line, exc.offset) from None
         # each card's order is checked as soon as it is parsed, so a bad card
         # is never held
         if G.p != p - 1:

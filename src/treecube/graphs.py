@@ -25,7 +25,7 @@ def _norm_edge(e: Iterable[int]) -> Edge:
 class LabeledGraph:
     """Simple undirected graph on vertices 0..p-1 (no loops, no multi-edges)."""
 
-    __slots__ = ("p", "edges", "_adj", "_canon")
+    __slots__ = ("p", "edges", "_adj")
 
     def __init__(self, p: int, edges: Iterable[Iterable[int]] = ()):
         if p < 0:
@@ -45,7 +45,6 @@ class LabeledGraph:
         self.p = p
         self.edges = frozenset(norm)
         self._adj = adj
-        self._canon: tuple[bytes, tuple[int, ...]] | None = None
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
@@ -244,17 +243,15 @@ def edge_span(G: LabeledGraph, e: Iterable[int], k: int) -> frozenset[int]:
 # ── isomorphism certificates ──────────────────────────────────────────
 
 
-def _canonical(G: LabeledGraph) -> tuple[bytes, tuple[int, ...]]:
-    if G._canon is None:
-        bits, perm = _kernels.canonical_labeling(G.p, G._adj)
-        G._canon = (bits, tuple(perm))
-    return G._canon
+def _canonical(G: LabeledGraph) -> tuple[CanonicalForm, tuple[int, ...]]:
+    """One canonical labeling: the certificate and the order realizing it."""
+    bits, perm = _kernels.canonical_labeling(G.p, G._adj)
+    return CanonicalForm(struct.pack(">I", G.p) + bits), tuple(perm)
 
 
 def canonical_form(G: LabeledGraph) -> CanonicalForm:
     """Certificate equal across relabelings, distinct across classes."""
-    bits, _ = _canonical(G)
-    return CanonicalForm(struct.pack(">I", G.p) + bits)
+    return _canonical(G)[0]
 
 
 def canonical_order(G: LabeledGraph) -> tuple[int, ...]:
@@ -265,19 +262,18 @@ def canonical_order(G: LabeledGraph) -> tuple[int, ...]:
 
 def is_isomorphic(G: LabeledGraph, H: LabeledGraph) -> bool:
     """Equal labeled graphs answer without a canonical labeling."""
-    if G.p != H.p or len(G.edges) != len(H.edges):
-        return False
-    if G.edges == H.edges:
-        return True
-    return _canonical(G)[0] == _canonical(H)[0]
+    return isomorphism(G, H) is not None
 
 
 def isomorphism(G: LabeledGraph, H: LabeledGraph) -> dict[int, int] | None:
     """An explicit edge-preserving bijection G -> H, or None."""
-    if not is_isomorphic(G, H):
+    if G.p != H.p or len(G.edges) != len(H.edges):
         return None
-    pg = _canonical(G)[1]
-    ph = _canonical(H)[1]
+    if G.edges == H.edges:
+        return {v: v for v in range(G.p)}
+    (cert_g, pg), (cert_h, ph) = _canonical(G), _canonical(H)
+    if cert_g != cert_h:
+        return None
     return {pg[i]: ph[i] for i in range(G.p)}
 
 

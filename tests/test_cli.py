@@ -178,9 +178,9 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 def test_reconstruct_fails_on_the_card_count_first(tmp_path, capsys):
     huge = tmp_path / "huge.txt"
-    huge.write_text("deck 1048577\n" + "\n1048576\n" * 12)
+    huge.write_text("deck 256\n" + "\n255\n" * 12)
     assert main(["reconstruct", str(huge)]) == 3
-    assert "needs 1048577 cards, found 12" in capsys.readouterr().err
+    assert "needs 256 cards, found 12" in capsys.readouterr().err
 
 
 def test_usage_error_exit_codes(tmp_path, capsys):

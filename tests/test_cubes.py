@@ -181,22 +181,28 @@ def test_kth_order_terminal_cliques_accepts_cubes():
 
 
 def test_cube_root_examples():
+    # ``roots`` holds every answer; ``tree`` is set for a unique root only
     r = cube_root(power(path_graph(5), 3))
     assert r.kind is RootKind.UNIQUE
+    assert r.roots == (r.tree,)
     assert is_isomorphic(r.tree.graph, path_graph(5))
 
     r = cube_root(complete_graph(4))
     assert r.kind is RootKind.AMBIGUOUS_COMPLETE
+    assert r.tree is None
     certs = {canonical_form(T.graph) for T in r.roots}
     assert certs == {canonical_form(path_graph(4)), canonical_form(star_graph(4))}
 
-    assert cube_root(cycle_graph(6)).kind is RootKind.NOT_A_CUBE
+    r = cube_root(cycle_graph(6))
+    assert r.kind is RootKind.NOT_A_CUBE
+    assert r.tree is None and r.roots == ()
 
 
 def test_cube_root_small_and_degenerate(monkeypatch):
     refuse_distance_matrix(monkeypatch)
-    assert cube_root(LabeledGraph(1)).tree.p == 1
-    assert cube_root(LabeledGraph(2, [(0, 1)])).tree.p == 2
+    for G in (LabeledGraph(1), LabeledGraph(2, [(0, 1)])):
+        r = cube_root(G)
+        assert r.tree.p == G.p and r.roots == (r.tree,)
     assert cube_root(LabeledGraph(0)).kind is RootKind.NOT_A_CUBE
     assert cube_root(LabeledGraph(3, [(0, 1)])).kind is RootKind.NOT_A_CUBE  # disconnected
     # a header-only input has too few edges to be connected: no p x p
@@ -234,7 +240,7 @@ def test_cube_root_complete_roots_at_every_order(monkeypatch):
     monkeypatch.delenv("TREECUBE_MAX_ORDER", raising=False)
     for p in range(13, 41):
         r = cube_root(complete_graph(p))
-        assert r.kind is RootKind.AMBIGUOUS_COMPLETE
+        assert r.kind is RootKind.AMBIGUOUS_COMPLETE and r.tree is None
         assert len(r.roots) == (p - 2) // 2 + 1
         assert r.roots[0].graph.edges == star_graph(p).edges
         for T in r.roots:
@@ -261,7 +267,9 @@ def test_cube_root_oracle_matches_and_limits(monkeypatch):
               LabeledGraph(1), LabeledGraph(2, [(0, 1)])]:
         a, b = cube_root(G), cube_root_oracle(G)
         assert a.kind is b.kind
+        assert len(a.roots) == len(b.roots)
         if a.kind is RootKind.UNIQUE:
+            assert b.roots == (b.tree,)
             assert is_isomorphic(a.tree.graph, b.tree.graph)
             assert_maps_cube_onto(a, G)
             assert_maps_cube_onto(b, G)
@@ -392,11 +400,11 @@ def test_cube_root_runs_no_canonical_labeling(monkeypatch):
 
     monkeypatch.setattr(_kernels, "canonical_labeling", refuse)
     assert not hasattr(cubes, "max_enumeration_order")
-    for name in ("enumerate_trees", "_cube_canonical"):
+    for name in ("enumerate_trees", "_cubes_by_certificate"):
         monkeypatch.setattr(cubes, name, refuse)
     for G in non_cubes:
-        # a fresh copy, so the oracle's cached certificate cannot be reused
-        assert cube_root(LabeledGraph(G.p, G.edges)).kind is RootKind.NOT_A_CUBE
+        # the oracle labeled these very graphs above: nothing is cached on them
+        assert cube_root(G).kind is RootKind.NOT_A_CUBE
     rng = random.Random(7)
     for T in (spider(*[3] * 8), spider(*[3] * 10), complete_binary_tree(5),
               complete_binary_tree(6)):

@@ -186,6 +186,7 @@ def test_parse_deck_errors_name_the_deck_file_line():
     with pytest.raises(GraphParseError) as info:
         parse_deck("deck 4\nBw\nBw\nB!\nBw\n")
     assert (info.value.line, info.value.offset) == (4, 1)
+    assert str(info.value).startswith("card 3: ")
     with pytest.raises(GraphParseError) as info:
         parse_deck("deck 4\n\n3\n0 1\n\n3\n0 1\n\n3\n0 5\n\n3\n0 1\n")
     assert info.value.line == 10
@@ -205,25 +206,53 @@ def test_parse_deck_checks_each_card_order_when_parsed():
     assert info.value.message == "deck of order 3 needs 3 cards, found 2"
 
 
-def test_parse_deck_counts_cards_before_parsing_any(monkeypatch):
-    # a short header that declares a huge order must not get its cards built
+def counting_card_parses(monkeypatch) -> list:
+    """Record every call of the deck module's two card parsers."""
     import sys
     deck_module = sys.modules["treecube.deck"]
     parsed = []
-    real = deck_module._parse_edgelist
+    for name in ("_parse_edgelist", "_parse_graph6"):
+        real = getattr(deck_module, name)
 
-    def counting(*args, **kwargs):
-        parsed.append(args)
-        return real(*args, **kwargs)
+        def counting(*args, real=real, **kwargs):
+            parsed.append(args)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(deck_module, "_parse_edgelist", counting)
+        monkeypatch.setattr(deck_module, name, counting)
+    return parsed
+
+
+def test_parse_deck_counts_cards_before_parsing_any(monkeypatch):
+    # a short header that declares more cards than it has must not get its
+    # cards built
+    parsed = counting_card_parses(monkeypatch)
     with pytest.raises(GraphParseError) as info:
-        parse_deck("deck 1048577\n" + "\n1048576\n" * 12)
-    assert info.value.message == "deck of order 1048577 needs 1048577 cards, found 12"
+        parse_deck("deck 256\n" + "\n255\n" * 12)
+    assert info.value.message == "deck of order 256 needs 256 cards, found 12"
     assert parsed == []
     with pytest.raises(GraphParseError) as info:
         parse_deck("deck 4\nBw\nB!\nBw\n")
     assert info.value.message == "deck of order 4 needs 4 cards, found 3"
+    assert parsed == []
+
+
+def test_parse_deck_caps_the_order_at_its_header(monkeypatch):
+    # a deck costs cubic time and memory in its order, so an order above the
+    # cap fails on the header line before any card is parsed
+    from treecube.deck import MAX_DECK_ORDER
+
+    def edgeless_deck(p: int, cards: int) -> str:
+        return f"deck {p}\n" + f"\n{p - 1}\n" * cards
+
+    parsed = counting_card_parses(monkeypatch)
+    for p, cards in ((MAX_DECK_ORDER + 1, MAX_DECK_ORDER + 1), (1048577, 12)):
+        with pytest.raises(GraphParseError) as info:
+            parse_deck(edgeless_deck(p, cards))
+        assert info.value.message == f"deck order {p} exceeds the deck limit {MAX_DECK_ORDER}"
+        assert info.value.line == 1
+    assert parsed == []
+    assert parse_deck(edgeless_deck(MAX_DECK_ORDER, MAX_DECK_ORDER)).order == MAX_DECK_ORDER
+    assert len(parsed) == MAX_DECK_ORDER
 
 
 def test_parse_deck_mixed_blank_lines():

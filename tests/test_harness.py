@@ -57,6 +57,46 @@ def test_lemma25_runs_no_canonical_labeling(monkeypatch):
     assert report.passed and report.checked > 0
 
 
+# canonical labelings per suite at order 8, counted on a cold start; a change
+# that lowers a count updates this table
+LABELINGS_AT_ORDER_8 = {
+    "thm31": 0,
+    "thm32": 48,
+    "lemma21": 0,
+    "lemma24": 0,
+    "lemma25": 0,
+    "rc-pipeline": 1074,
+    "recognition-negative": 464,
+    "oracle-agreement": 296,
+}
+
+
+def test_labeling_counts_do_not_depend_on_earlier_suites(monkeypatch):
+    # nothing a suite leaves behind may spare a later suite a labeling, so
+    # the counts are the same in either order, from cold caches
+    import sys
+    calls = []
+    labeling = _kernels.canonical_labeling
+
+    def counted(*args):
+        calls.append(None)
+        return labeling(*args)
+
+    monkeypatch.setattr(_kernels, "canonical_labeling", counted)
+    for suites in (SUITES, SUITES[::-1]):
+        for name, module in list(sys.modules.items()):
+            if name == "treecube" or name.startswith("treecube."):
+                for obj in list(vars(module).values()):
+                    if callable(getattr(obj, "cache_clear", None)):
+                        obj.cache_clear()
+        counts = {}
+        for suite in suites:
+            calls.clear()
+            assert run_suite(suite, 8).passed
+            counts[suite] = len(calls)
+        assert counts == LABELINGS_AT_ORDER_8
+
+
 class RecordingContext:
     """Stands in for a multiprocessing context: records pool sizes, starts nothing."""
 

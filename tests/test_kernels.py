@@ -3,6 +3,7 @@
 import ast
 import gc
 import importlib
+import inspect
 import itertools
 import random
 from pathlib import Path
@@ -74,6 +75,9 @@ def test_kernel_names_stay_on_the_module():
         mod = importlib.import_module(module)
         for name in names:
             assert callable(getattr(mod, name, None)), f"{module}.{name}"
+    # the sweep and census workloads call run_suite(suite, max_order=, workers=1)
+    from treecube import run_suite
+    assert {"max_order", "workers"} <= set(inspect.signature(run_suite).parameters)
 
 
 def test_python_kernels_handle_large_orders():
