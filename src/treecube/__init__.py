@@ -81,13 +81,11 @@ from .harness import (
 )
 from .trees import (
     Tree,
-    WeightedTree,
     ahu_code,
     centers,
     core_vertices,
     end_deleted,
     enumerate_trees,
-    expand,
     is_tree,
     kth_order_terminal_edges,
     leaf_extensions,
@@ -95,7 +93,6 @@ from .trees import (
     leaves,
     max_enumeration_order,
     terminal_edges,
-    weighted_form,
 )
 
 __version__ = "0.1.0"

@@ -253,37 +253,38 @@ def canonical_labeling(p: int, adj: list[int]) -> tuple[bytes, list[int]]:
     return st.best, st.best_perm
 
 
-def _bk(adj: list[int], r: int, cand: int, excl: int, out: list[int]) -> None:
-    # Bron–Kerbosch with a pivot: appends to out each maximal clique that
-    # extends r by vertices of cand and contains no vertex of excl
-    if not cand and not excl:
-        out.append(r)
-        return
-    pux = cand | excl
-    pivot = -1
-    pivot_cnt = -1
-    m = pux
-    while m:
-        u = (m & -m).bit_length() - 1
-        m &= m - 1
-        cnt = (cand & adj[u]).bit_count()
-        if cnt > pivot_cnt:
-            pivot_cnt = cnt
-            pivot = u
-    ext = cand & ~adj[pivot]
-    while ext:
-        v = (ext & -ext).bit_length() - 1
-        ext &= ext - 1
-        bit = 1 << v
-        _bk(adj, r | bit, cand & adj[v], excl & adj[v], out)
-        cand &= ~bit
-        excl |= bit
-
-
 def maximal_cliques(p: int, adj: list[int]) -> list[int]:
-    """All inclusion-maximal cliques as bitmasks, sorted by vertex tuple."""
+    """All inclusion-maximal cliques as bitmasks, sorted by vertex tuple.
+
+    Bron–Kerbosch with a pivot, on an explicit stack of ``(r, cand, excl)``:
+    each entry stands for the maximal cliques that extend ``r`` by vertices
+    of ``cand`` and contain no vertex of ``excl``. No clique size meets
+    Python's recursion limit.
+    """
     out: list[int] = []
-    if p:
-        _bk(adj, 0, (1 << p) - 1, 0, out)
+    stack = [(0, (1 << p) - 1, 0)] if p else []
+    while stack:
+        r, cand, excl = stack.pop()
+        if not cand and not excl:
+            out.append(r)
+            continue
+        pivot = -1
+        pivot_cnt = -1
+        m = cand | excl
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            cnt = (cand & adj[u]).bit_count()
+            if cnt > pivot_cnt:
+                pivot_cnt = cnt
+                pivot = u
+        ext = cand & ~adj[pivot]
+        while ext:
+            v = (ext & -ext).bit_length() - 1
+            ext &= ext - 1
+            bit = 1 << v
+            stack.append((r | bit, cand & adj[v], excl & adj[v]))
+            cand &= ~bit
+            excl |= bit
     out.sort(key=bits)
     return out

@@ -2,8 +2,8 @@
 
 A non-complete cube of a tree decomposes into maximal cliques that are the
 1-spans of the internal tree edges. Root extraction inverts that structure
-constructively: clique intersections recover the end-deleted skeleton, the
-leaf counts, and where every root vertex sits among G's vertices. The
+constructively: clique intersections recover the end-deleted skeleton, its
+leaves, and where every root vertex sits among G's vertices. The
 candidate is verified by labeled recubing, an exact edge-set equality between
 the candidate's cube and G on G's own vertices, with no isomorphism test.
 A non-complete graph with no candidate, or whose candidate fails the check,
@@ -33,10 +33,8 @@ from .graphs import (
 )
 from .trees import (
     Tree,
-    WeightedTree,
     end_deleted,
     enumerate_trees,
-    expand,
     layer_terminal_edges,
     leaf_orders,
     leaves,
@@ -148,35 +146,37 @@ def kth_order_terminal_cliques(G_or_T: LabeledGraph | Tree, k: int) -> list[Cliq
 def _constructive_root(G: LabeledGraph) -> tuple[Tree, tuple[int, ...]] | None:
     """Propose a root for a connected non-complete graph, or None.
 
-    Rebuilds the end-deleted skeleton from the maximal cliques: cliques
-    sharing at least 3 vertices are centered on skeleton edges with a common
-    endpoint, so the maximal groups of pairwise-overlapping cliques are the
-    edge stars of the skeleton's internal vertices (Krausz classes). The
-    cliques of a class intersect in the closed neighborhood N[x] of its
-    center x, which places every root vertex among G's vertices:
+    Rebuilds the end-deleted skeleton from the maximal cliques, all kept as
+    vertex bitmasks: cliques sharing at least 3 vertices are centered on
+    skeleton edges with a common endpoint, so the maximal groups of
+    pairwise-overlapping cliques are the edge stars of the skeleton's
+    internal vertices (Krausz classes). The cliques of a class intersect in
+    the closed neighborhood N[x] of its center x, which places every root
+    vertex among G's vertices:
 
     * x is the one vertex that N[x] shares with the neighborhoods of all
       neighboring classes (N[x] & N[z] = {x, z}). With fewer than two
       neighboring classes the candidates left are twins in G, so any fixed
-      choice is right.
-    * A pendant skeleton vertex takes one of the vertices left in its
-      class's neighborhood; its leaves are its clique minus that
-      neighborhood.
+      choice, the lowest, is right.
+    * A pendant skeleton vertex takes the lowest vertex left in its class's
+      neighborhood; its leaves are its clique minus that neighborhood.
     * x's own leaves are what its neighborhood has left after that.
 
-    Returns the root as ``expand`` numbers it together with the map from its
-    vertices to G's, or None. One guard rejects early: a non-complete cube's
-    skeleton has at least two edges, so each class holds two cliques or more,
-    and a class of one is the cheap exit for about half the non-cubes. All
-    else is judged by the skeleton's ``Tree`` check, ``WeightedTree``
-    validation and the caller's labeled recubing.
+    The root's vertices are the classes, then the pendant skeleton vertices,
+    then each skeleton vertex's leaves in turn. Returns the root with the map
+    from its vertices to G's, or None. One guard rejects early: a
+    non-complete cube's skeleton has at least two edges, so each class holds
+    two cliques or more, and a class of one is the cheap exit for about half
+    the non-cubes. All else is judged by the root's ``Tree`` check and the
+    caller's labeled recubing.
     """
-    cliques = maximal_cliques(G)
+    cliques = _kernels.maximal_cliques(G.p, G._adj)
     m = len(cliques)
     overlap = [0] * m
     for i in range(m):
+        a = cliques[i]
         for j in range(i + 1, m):
-            if len(cliques[i] & cliques[j]) >= 3:
+            if (a & cliques[j]).bit_count() >= 3:
                 overlap[i] |= 1 << j
                 overlap[j] |= 1 << i
     classes = [_kernels.bits(mask) for mask in _kernels.maximal_cliques(m, overlap)]
@@ -190,58 +190,49 @@ def _constructive_root(G: LabeledGraph) -> tuple[Tree, tuple[int, ...]] | None:
         return None
 
     t = len(classes)
-    xi_edges = []
-    class_nbrs: list[list[int]] = [[] for _ in range(t)]
+    neighborhoods = []
+    for members in classes:
+        nb = -1
+        for e in members:
+            nb &= cliques[e]
+        neighborhoods.append(nb)
+    centers = list(neighborhoods)
+    edges = []
     pendants: list[tuple[int, int]] = []  # (clique index, class of its inner end)
     for e, cov in enumerate(cover):
         if len(cov) == 2:
-            xi_edges.append((cov[0], cov[1]))
-            class_nbrs[cov[0]].append(cov[1])
-            class_nbrs[cov[1]].append(cov[0])
+            a, b = cov
+            edges.append((a, b))
+            centers[a] &= neighborhoods[b]
+            centers[b] &= neighborhoods[a]
         else:
-            xi_edges.append((cov[0], t + len(pendants)))
+            edges.append((cov[0], t + len(pendants)))
             pendants.append((e, cov[0]))
+    # where each skeleton vertex may stand: the centers, fewest candidates
+    # first, so pinned centers are placed before their twins; then the
+    # pendant vertices, each within its class's neighborhood
+    spots = centers + [neighborhoods[b] for _, b in pendants]
+    order = sorted(range(t), key=lambda ci: centers[ci].bit_count()) + list(range(t, len(spots)))
+    vertex_map = [0] * len(spots)
+    used = 0
+    for v in order:
+        free = spots[v] & ~used
+        if not free:
+            return None
+        low = free & -free
+        vertex_map[v] = low.bit_length() - 1
+        used |= low
+    leaf_sets = ([nb & ~used for nb in neighborhoods]
+                 + [cliques[e] & ~neighborhoods[b] for e, b in pendants])
+    for v, leaf_set in enumerate(leaf_sets):
+        for u in _kernels.bits(leaf_set):
+            edges.append((v, len(vertex_map)))
+            vertex_map.append(u)
     try:
-        skeleton = Tree(LabeledGraph(t + len(pendants), xi_edges))
+        root = Tree(LabeledGraph(len(vertex_map), edges))
     except NotATreeError:
         return None
-
-    neighborhoods = []
-    for members in classes:
-        nb = cliques[members[0]]
-        for e in members[1:]:
-            nb = nb & cliques[e]
-        neighborhoods.append(nb)
-    centers = []
-    for ci in range(t):
-        c = neighborhoods[ci]
-        for cj in class_nbrs[ci]:
-            c = c & neighborhoods[cj]
-        centers.append(c)
-    label = [0] * t
-    used: set[int] = set()
-    # fewest candidates first, so pinned centers are placed before their twins
-    for ci in sorted(range(t), key=lambda ci: len(centers[ci])):
-        free = centers[ci] - used
-        if not free:
-            return None
-        label[ci] = min(free)
-        used.add(label[ci])
-    pendant_leaves = []
-    for e, b in pendants:
-        free = neighborhoods[b] - used
-        if not free:
-            return None
-        label.append(min(free))
-        used.add(label[-1])
-        pendant_leaves.append(cliques[e] - neighborhoods[b])
-    leaf_sets = [neighborhoods[ci] - used for ci in range(t)] + pendant_leaves
-    vertex_map = tuple(label) + tuple(v for s in leaf_sets for v in sorted(s))
-    try:
-        root = expand(WeightedTree(skeleton, map(len, leaf_sets)))
-    except ValueError:
-        return None
-    return root, vertex_map
+    return root, tuple(vertex_map)
 
 
 def _is_labeled_cube(G: LabeledGraph, T: Tree, vertex_map: tuple[int, ...]) -> bool:

@@ -142,6 +142,8 @@ def recognize(S: Deck) -> bool:
 
 def deck_to_text(S: Deck, fmt: str = "edgelist") -> str:
     """Serialize a deck: header line, then one card per block (or per line)."""
+    if fmt not in ("edgelist", "graph6"):
+        raise ValueError(f"unknown format {fmt!r}")
     lines = [f"deck {S.order}"]
     for card in S.cards:
         G = card.to_graph()

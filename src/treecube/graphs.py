@@ -254,12 +254,6 @@ def canonical_form(G: LabeledGraph) -> CanonicalForm:
     return _canonical(G)[0]
 
 
-def canonical_order(G: LabeledGraph) -> tuple[int, ...]:
-    """A labeling realizing the certificate: entry i is the vertex placed at
-    canonical position i."""
-    return _canonical(G)[1]
-
-
 def is_isomorphic(G: LabeledGraph, H: LabeledGraph) -> bool:
     """Equal labeled graphs answer without a canonical labeling."""
     return isomorphism(G, H) is not None

@@ -1,4 +1,4 @@
-"""Trees: end-deletion, leaf orders, weighted equivalence, enumeration.
+"""Trees: end-deletion, leaf orders, AHU codes, enumeration.
 
 The enumeration of free trees (one representative per isomorphism class, in a
 deterministic order) is the brute-force substrate used by the oracles and the
@@ -48,43 +48,6 @@ class Tree:
 
     def __repr__(self) -> str:
         return f"Tree(p={self.p}, edges={self.graph.edge_list()})"
-
-
-class WeightedTree:
-    """End-deleted skeleton plus per-vertex counts of attached leaves."""
-
-    __slots__ = ("skeleton", "weights")
-
-    def __init__(self, skeleton: Tree, weights: Iterable[int]):
-        weights = tuple(weights)
-        if skeleton.p == 0:
-            raise ValueError("weighted tree needs a nonempty skeleton")
-        if len(weights) != skeleton.p:
-            raise ValueError("one weight per skeleton vertex required")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be non-negative")
-        for v in range(skeleton.p):
-            deg = skeleton.degree(v)
-            if deg == 1 and weights[v] < 1:
-                raise ValueError(f"pendant skeleton vertex {v} needs weight >= 1")
-            if deg == 0 and weights[v] < 2:
-                # isolated skeleton (single vertex): anything less than a star
-                # on 3 vertices would not survive end-deletion intact
-                raise ValueError(f"isolated skeleton vertex {v} needs weight >= 2")
-        self.skeleton = skeleton
-        self.weights = weights
-
-    @property
-    def total_leaves(self) -> int:
-        return sum(self.weights)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightedTree):
-            return NotImplemented
-        return self.skeleton == other.skeleton and self.weights == other.weights
-
-    def __repr__(self) -> str:
-        return f"WeightedTree(skeleton={self.skeleton!r}, weights={self.weights})"
 
 
 def is_tree(G: LabeledGraph) -> bool:
@@ -139,28 +102,6 @@ def core_vertices(T: Tree, k: int) -> frozenset[int]:
     return frozenset().union(*leaf_orders(T)[k:])
 
 
-def weighted_form(T: Tree) -> WeightedTree:
-    """Collapse T to its end-deleted skeleton with per-vertex leaf counts."""
-    if T.p <= 2:
-        raise ValueError("weighted form needs a tree with at least 3 vertices")
-    skeleton, old_ids = induced_subgraph(T.graph, core_vertices(T, 1))
-    # a skeleton vertex's neighbors outside the skeleton are its leaves
-    weights = (T.degree(v) - skeleton.degree(i) for i, v in enumerate(old_ids))
-    return WeightedTree(Tree(skeleton), weights)
-
-
-def expand(W: WeightedTree) -> Tree:
-    """Reattach the counted leaves; inverse of weighted_form up to isomorphism."""
-    q = W.skeleton.p
-    edges = list(W.skeleton.graph.edges)
-    nxt = q
-    for v in range(q):
-        for _ in range(W.weights[v]):
-            edges.append((v, nxt))
-            nxt += 1
-    return Tree(LabeledGraph(nxt, edges))
-
-
 def terminal_edges(T: Tree) -> frozenset[tuple[int, int]]:
     """Edges with at least one degree-1 endpoint."""
     return kth_order_terminal_edges(T, 0)
@@ -184,11 +125,6 @@ def layer_terminal_edges(T: Tree, orders: tuple[frozenset[int], ...],
 # ── free-tree enumeration ─────────────────────────────────────────────
 
 
-def _ahu_rooted(adj: list[int], root: int, parent: int) -> str:
-    kids = sorted(_ahu_rooted(adj, w, root) for w in _kernels.bits(adj[root]) if w != parent)
-    return "(" + "".join(kids) + ")"
-
-
 def centers(T: Tree) -> frozenset[int]:
     """The 1- or 2-vertex core left by repeated leaf removal."""
     if T.p == 0:
@@ -197,16 +133,25 @@ def centers(T: Tree) -> frozenset[int]:
 
 
 def ahu_code(T: Tree) -> str:
-    """Canonical string for free trees: equal iff isomorphic."""
+    """Canonical string for free trees: equal iff isomorphic.
+
+    The codes are built layer by layer over ``leaf_orders``: a vertex's
+    children are its neighbors in earlier layers, and the last layer holds
+    the one or two centers.
+    """
     if T.p == 0:
         return ""
     adj = T.graph._adj
-    c = sorted(centers(T))
-    if len(c) == 1:
-        return _ahu_rooted(adj, c[0], -1)
-    a, b = c
-    halves = sorted([_ahu_rooted(adj, a, b), _ahu_rooted(adj, b, a)])
-    return "[" + "".join(halves) + "]"
+    code = [""] * T.p
+    done = 0
+    for layer in leaf_orders(T):
+        for v in layer:
+            code[v] = "(" + "".join(sorted([code[u] for u in _kernels.bits(adj[v] & done)])) + ")"
+        for v in layer:
+            done |= 1 << v
+    if len(layer) == 1:
+        return code[next(iter(layer))]
+    return "[" + "".join(sorted(code[v] for v in layer)) + "]"
 
 
 def max_enumeration_order() -> int:

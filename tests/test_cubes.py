@@ -34,7 +34,7 @@ from treecube.graphs import (
     relabel,
     star_graph,
 )
-from treecube.trees import Tree, end_deleted, enumerate_trees, leaves
+from treecube.trees import Tree, ahu_code, end_deleted, enumerate_trees, leaves
 from treecube.graphs import power
 
 
@@ -357,6 +357,17 @@ def test_constructive_extraction_beyond_enumeration_cap():
         assert r.kind is RootKind.UNIQUE
         assert is_isomorphic(power(r.tree.graph, 3), G)
     assert cube_root(cycle_graph(30)).kind is RootKind.NOT_A_CUBE
+
+
+def test_cube_root_of_a_large_clique_minus_an_edge():
+    # the cube of this spider is K_1100 minus the edge between its two leg
+    # ends: a clique search one level deeper per clique vertex would pass
+    # Python's recursion limit
+    legs = [(0, 1), (1, 2), (0, 3), (3, 4)]
+    spider = Tree(LabeledGraph(1100, legs + [(0, v) for v in range(5, 1100)]))
+    r = cube_root(power(spider.graph, 3))
+    assert r.kind is RootKind.UNIQUE
+    assert ahu_code(r.tree) == ahu_code(spider)
 
 
 def test_root_result_serializes():

@@ -159,6 +159,16 @@ def test_deck_file_round_trip_edgelist_and_graph6():
     assert parse_deck(deck_to_text(d, fmt="graph6")) == d
 
 
+def test_deck_to_text_rejects_an_unknown_format():
+    # as serialize_graph does, rather than writing edge lists under a wrong name
+    d = deck(cube_of_path(6))
+    for fmt in ("g6", "GRAPH6", ""):
+        with pytest.raises(ValueError, match="unknown format"):
+            deck_to_text(d, fmt=fmt)
+    with pytest.raises(ValueError, match="unknown format"):
+        deck_to_text(Deck(()), fmt="g6")
+
+
 def test_parse_deck_errors():
     with pytest.raises(GraphParseError):
         parse_deck("")

@@ -1,9 +1,10 @@
 """Golden canonical labelings: certificates and orders must not drift.
 
 ``data/golden_canon.jsonl`` holds one line per input, the sorted-key JSON of
-its ``canonical_form`` hex and its ``canonical_order``. The inputs are every
-tree of order at most 12 from ``enumerate_trees`` and the cube of each, both
-as enumerated and under one seeded relabeling per tree. A change to the
+its certificate hex and the canonical order realizing it, both taken from one
+``graphs._canonical`` labeling. The inputs are every tree of order at most 12
+from ``enumerate_trees`` and the cube of each, both as enumerated and under
+one seeded relabeling per tree. A change to the
 labeling search (pruning included) must keep every line byte-identical: the
 certificate and the labeling that realizes it.
 
@@ -17,7 +18,7 @@ import json
 import random
 from pathlib import Path
 
-from treecube.graphs import canonical_form, canonical_order, power, relabel
+from treecube.graphs import _canonical, power, relabel
 from treecube.trees import enumerate_trees
 
 GOLDEN = Path(__file__).parent / "data" / "golden_canon.jsonl"
@@ -39,8 +40,9 @@ def golden_inputs():
 def golden_lines() -> list[str]:
     lines = []
     for key, G in golden_inputs():
-        key["cert"] = canonical_form(G).hex()
-        key["order"] = list(canonical_order(G))
+        cert, order = _canonical(G)
+        key["cert"] = cert.hex()
+        key["order"] = list(order)
         lines.append(json.dumps(key, sort_keys=True))
     return lines
 

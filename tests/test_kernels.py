@@ -91,6 +91,17 @@ def test_python_kernels_handle_large_orders():
     assert len(_kernels.maximal_cliques(p, a)) == p - 1
 
 
+def test_maximal_cliques_of_a_large_clique_need_no_recursion():
+    # K_1100 minus the edge {0, 1}: the search goes one level deeper per
+    # clique vertex, past Python's recursion limit
+    p = 1100
+    full = (1 << p) - 1
+    a = [full & ~(1 << v) for v in range(p)]
+    a[0] &= ~(1 << 1)
+    a[1] &= ~1
+    assert _kernels.maximal_cliques(p, a) == [full & ~(1 << 1), full & ~1]
+
+
 def test_maximal_cliques_leaves_no_reference_cycle():
     p = 30
     a = adj_masks(p, [(u, v) for u in range(p) for v in range(u + 1, min(u + 4, p))])

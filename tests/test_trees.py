@@ -12,24 +12,22 @@ from treecube.graphs import (
     is_isomorphic,
     path_graph,
     peripheral_vertices,
+    relabel,
     star_graph,
 )
 from treecube.trees import (
     Tree,
-    WeightedTree,
     ahu_code,
     centers,
     core_vertices,
     end_deleted,
     enumerate_trees,
-    expand,
     is_tree,
     kth_order_terminal_edges,
     leaf_extensions,
     leaf_orders,
     leaves,
     terminal_edges,
-    weighted_form,
 )
 
 
@@ -97,34 +95,6 @@ def test_leaf_orders_partition_all_trees():
                 seen |= s
             assert seen == set(range(T.p))
             assert 1 <= len(lo[-1]) <= 2
-
-
-def test_weighted_form_examples():
-    w = weighted_form(P(5))
-    assert w.skeleton.p == 3 and w.weights == (1, 0, 1)
-    w = weighted_form(S(5))
-    assert w.skeleton.p == 1 and w.weights == (4,)
-    w = weighted_form(double_star(3, 5))
-    assert w.skeleton.p == 2 and sorted(w.weights) == [3, 5]
-    with pytest.raises(ValueError):
-        weighted_form(P(2))
-
-
-def test_weighted_tree_validation():
-    with pytest.raises(ValueError):
-        WeightedTree(P(3), (1, 0, 0))  # pendant skeleton vertex without leaves
-    with pytest.raises(ValueError):
-        WeightedTree(P(1), (1,))  # single skeleton vertex needs >= 2 leaves
-    with pytest.raises(ValueError):
-        WeightedTree(P(3), (1, 0))
-
-
-def test_expand_round_trip_up_to_ten():
-    for p in range(3, 11):
-        for T in enumerate_trees(p):
-            W = weighted_form(T)
-            assert W.total_leaves == len(leaves(T))
-            assert is_isomorphic(expand(W).graph, T.graph)
 
 
 def test_terminal_edges_examples():
@@ -233,3 +203,13 @@ def test_ahu_agreement_with_general_certificates():
         G1, G2 = random_prufer_tree(rng, p), random_prufer_tree(rng, p)
         t1, t2 = Tree(G1), Tree(G2)
         assert (ahu_code(t1) == ahu_code(t2)) == (canonical_form(G1) == canonical_form(G2))
+
+
+def test_ahu_code_of_a_long_path_needs_no_recursion():
+    # radius 1,500: a code built by recursing down from the centers would
+    # pass Python's recursion limit
+    perm = list(range(3000))
+    random.Random(5).shuffle(perm)
+    code = ahu_code(P(3000))
+    assert len(code) == 6002
+    assert ahu_code(Tree(relabel(path_graph(3000), perm))) == code
