@@ -5,7 +5,9 @@ certificate encoding is invertible, so card graphs are recovered on demand.
 Reconstruction selects the cards that are tree cubes, extends the roots of
 every selected card by a fresh leaf in every position (the reconstruction
 black box), and accepts the first candidate whose cube reproduces the full
-deck.
+deck. Candidates are screened first by the multiset of card edge counts,
+which the deck fixes (Kelly's lemma), so a wrong candidate is rejected
+before any canonical labeling.
 """
 
 from __future__ import annotations
@@ -56,8 +58,16 @@ def deck(G: LabeledGraph) -> Deck:
 
 
 def deck_check(G: LabeledGraph, S: Deck) -> bool:
-    """True iff the deck of G equals S as multisets (order mismatch is False)."""
+    """True iff the deck of G equals S as multisets (order mismatch is False).
+
+    Card v of G has |E| - deg(v) edges, so the deck fixes the multiset of
+    card sizes (Kelly 1957): a G whose sizes differ from S's is rejected
+    with no canonical labeling, and no G with deck S can be.
+    """
     if G.p != S.order:
+        return False
+    sizes = sorted(len(G.edges) - a.bit_count() for a in G._adj)
+    if sizes != sorted(card.size for card in S.cards):
         return False
     return deck(G) == S
 
@@ -107,8 +117,9 @@ def reconstruct(S: Deck) -> ReconstructionReport:
     if p < 3:
         raise OrderTooSmallError("reconstruction needs decks of order at least 3")
     trace = []
-    complete_card = canonical_form(complete_graph(p - 1))
-    if all(card == complete_card for card in S.cards):
+    # p - 1 vertices carry at most (p - 1)(p - 2) / 2 edges, and only K_{p-1}
+    # has that many, so the count identifies a complete card
+    if all(card.size == (p - 1) * (p - 2) // 2 for card in S.cards):
         trace.append(f"all cards complete: deck determines K_{p}")
         return ReconstructionReport(True, complete_graph(p), Tree(star_graph(p)), tuple(trace))
     selected = select_cube_cards(S)

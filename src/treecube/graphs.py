@@ -99,6 +99,11 @@ class CanonicalForm:
     def order(self) -> int:
         return struct.unpack(">I", self.certificate[:4])[0]
 
+    @property
+    def size(self) -> int:
+        """Edge count of the class: the set adjacency bits (padding is zero)."""
+        return int.from_bytes(self.certificate[4:], "big").bit_count()
+
     def hex(self) -> str:
         return self.certificate.hex()
 

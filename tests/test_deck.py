@@ -1,5 +1,7 @@
 import pytest
 
+from test_kernels import CORPUS
+from treecube import _kernels
 from treecube.cubes import is_tree_cube
 from treecube.deck import (
     Deck,
@@ -22,6 +24,7 @@ from treecube.graphs import (
     is_isomorphic,
     path_graph,
     power,
+    star_graph,
 )
 from treecube.harness import endpoint_precision_counterexamples, internal_cube_cards
 from treecube.trees import Tree, enumerate_trees, leaves
@@ -57,6 +60,44 @@ def test_deck_check_examples():
     G = cube_of_path(5)
     assert deck_check(G, deck(G))
     assert not deck_check(path_graph(4), deck(G))  # order mismatch is False
+
+
+def test_card_size_is_the_edge_count_of_the_card():
+    graphs = [LabeledGraph(p, edges) for p, edges in CORPUS if p >= 1]
+    graphs += [LabeledGraph(1), LabeledGraph(6)]
+    for G in graphs:
+        assert canonical_form(G).size == len(G.edges)
+        for card in deck(G).cards:
+            assert card.size == len(card.to_graph().edges)
+
+
+def test_deck_check_rejects_by_card_sizes_without_labeling(monkeypatch):
+    S = deck(star_graph(6))
+    K6 = deck(complete_graph(6))
+
+    def refuse(*args):
+        raise AssertionError("a canonical labeling was run")
+
+    monkeypatch.setattr(_kernels, "canonical_labeling", refuse)
+    # P6 and the 6-star both have 5 edges, but their card sizes differ
+    assert not deck_check(path_graph(6), S)
+    report = reconstruct(K6)
+    assert report.recognized and report.graph == complete_graph(6)
+
+
+def test_deck_check_prefilter_only_filters():
+    # every card of C6 (a P5) and of 2K3 (a K3 beside a K2) has 4 edges, yet
+    # the decks differ: equal sizes must fall through to the full comparison
+    C6 = cycle_graph(6)
+    S = deck(LabeledGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
+    assert [c.size for c in deck(C6).cards] == [c.size for c in S.cards] == [4] * 6
+    assert deck(C6) != S and not deck_check(C6, S)
+    cubes = [power(T.graph, 3) for p in range(1, 9) for T in enumerate_trees(p)]
+    decks = [deck(G) for G in cubes]
+    for G, D in zip(cubes, decks):
+        for H, S in zip(cubes, decks):
+            if G.p == H.p:
+                assert deck_check(G, S) == (D == S)
 
 
 def test_select_cube_cards_examples():

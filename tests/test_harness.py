@@ -65,8 +65,8 @@ LABELINGS_AT_ORDER_8 = {
     "lemma21": 0,
     "lemma24": 0,
     "lemma25": 0,
-    "rc-pipeline": 1074,
-    "recognition-negative": 464,
+    "rc-pipeline": 606,
+    "recognition-negative": 317,
     "oracle-agreement": 296,
 }
 
