@@ -54,12 +54,12 @@ def _cmd_root(args) -> int:
     _write_json(result, args.json)
     if result.kind is RootKind.UNIQUE:
         print("unique root")
-        print("  edges:", result.tree.graph.edge_list())
+        print("  edges:", result.tree.edge_list())
         return EXIT_PASS
     if result.kind is RootKind.AMBIGUOUS_COMPLETE:
         print(f"complete graph: ambiguous root ({len(result.roots)} trees of diameter < 4)")
         for T in result.roots:
-            print("  edges:", T.graph.edge_list())
+            print("  edges:", T.edge_list())
         return EXIT_PASS
     print("not the cube of a tree")
     return EXIT_FAIL
@@ -111,7 +111,7 @@ def _cmd_collide(args) -> int:
           f"{len(result.pairs)} colliding pair(s)")
     for pair in result.pairs:
         tag = "complete" if pair.complete else "non-complete"
-        print(f"  {pair.tree1.graph.edge_list()}  ~  {pair.tree2.graph.edge_list()}  [{tag}]")
+        print(f"  {pair.tree1.edge_list()}  ~  {pair.tree2.edge_list()}  [{tag}]")
     return EXIT_PASS
 
 

@@ -46,7 +46,7 @@ class CliqueRecord:
     """A maximal clique of a cube together with the tree edge it is centered on."""
 
     members: frozenset[int]
-    clique_edge: tuple[int, int] | None = None
+    clique_edge: tuple[int, int]
 
 
 class RootKind(enum.Enum):
@@ -84,11 +84,11 @@ class RootResult:
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind.value}
         if self.kind is RootKind.UNIQUE:
-            out["root_edges"] = self.tree.graph.edge_list()
-            out["root_certificate"] = canonical_form(self.tree.graph).hex()
+            out["root_edges"] = self.tree.edge_list()
+            out["root_certificate"] = canonical_form(self.tree).hex()
         if self.kind is RootKind.AMBIGUOUS_COMPLETE:
-            out["roots"] = [T.graph.edge_list() for T in self.roots]
-            out["root_certificates"] = [canonical_form(T.graph).hex() for T in self.roots]
+            out["roots"] = [T.edge_list() for T in self.roots]
+            out["root_certificates"] = [canonical_form(T).hex() for T in self.roots]
         return out
 
 
@@ -100,7 +100,7 @@ def maximal_cliques(G: LabeledGraph) -> list[frozenset[int]]:
 def clique_edges_of_tree(T: Tree) -> frozenset[tuple[int, int]]:
     """Tree edges with both endpoints internal; exactly the skeleton's edges."""
     leaf_set = leaves(T)
-    return frozenset(e for e in T.graph.edges if e[0] not in leaf_set and e[1] not in leaf_set)
+    return frozenset(e for e in T.edges if e[0] not in leaf_set and e[1] not in leaf_set)
 
 
 def cliques_of_cube(T: Tree) -> list[CliqueRecord]:
@@ -109,7 +109,7 @@ def cliques_of_cube(T: Tree) -> list[CliqueRecord]:
     For trees of diameter at least 4 these are exactly the maximal cliques of
     the cube.
     """
-    return [CliqueRecord(edge_span(T.graph, e, 1), e) for e in sorted(clique_edges_of_tree(T))]
+    return [CliqueRecord(edge_span(T, e, 1), e) for e in sorted(clique_edges_of_tree(T))]
 
 
 def terminal_cliques(T: Tree) -> list[CliqueRecord]:
@@ -117,17 +117,16 @@ def terminal_cliques(T: Tree) -> list[CliqueRecord]:
     return kth_order_terminal_cliques(T, 0)
 
 
-def kth_order_terminal_cliques(G_or_T: LabeledGraph | Tree, k: int) -> list[CliqueRecord]:
+def kth_order_terminal_cliques(T: Tree, k: int) -> list[CliqueRecord]:
     """Terminal cliques of the k-times end-deleted tree's cube.
 
     They are the 1-spans of the terminal edges of the (k+1)-times end-deleted
-    tree, taken within the k-times end-deleted one. Accepts the tree itself or
-    its cube; for a cube the records are reported in the labels of the
-    extracted root.
+    tree, taken within the k-times end-deleted one. A cube's records come
+    from its ``cube_root``, mapped to the cube's vertices through
+    ``vertex_map``.
     """
     if k < 0:
         raise ValueError("order must be non-negative")
-    T = G_or_T if isinstance(G_or_T, Tree) else _unique_root(G_or_T).tree
     orders = leaf_orders(T)
     core = frozenset().union(*orders[k:])
     if not core:
@@ -136,7 +135,7 @@ def kth_order_terminal_cliques(G_or_T: LabeledGraph | Tree, k: int) -> list[Cliq
     # end-deletion leaves at most its one or two centers
     if len(core) - len(orders[k]) <= 2:
         raise AmbiguousStructureError("cube is complete: no terminal clique structure")
-    return [CliqueRecord(edge_span(T.graph, e, 1) & core, e)
+    return [CliqueRecord(edge_span(T, e, 1) & core, e)
             for e in sorted(layer_terminal_edges(T, orders, k + 1))]
 
 
@@ -239,7 +238,7 @@ def _is_labeled_cube(G: LabeledGraph, T: Tree, vertex_map: tuple[int, ...]) -> b
     """True iff ``vertex_map`` is a bijection carrying T's cube onto G edge for edge."""
     if sorted(vertex_map) != list(range(G.p)):
         return False
-    cube = power(T.graph, 3)
+    cube = power(T, 3)
     if len(cube.edges) != len(G.edges):
         return False
     adj = G._adj
@@ -265,7 +264,7 @@ def _cubes_by_certificate(p: int) -> dict[CanonicalForm, tuple[tuple[Tree, ...],
     in enumeration order, and the canonical order of the first one's cube."""
     table: dict = {}
     for T in enumerate_trees(p):
-        cert, order = _canonical(power(T.graph, 3))
+        cert, order = _canonical(power(T, 3))
         trees, first_order = table.get(cert, ((), order))
         table[cert] = (trees + (T,), first_order)
     return table
@@ -327,19 +326,11 @@ def is_tree_cube(G: LabeledGraph) -> bool:
     return cube_root(G).kind is not RootKind.NOT_A_CUBE
 
 
-def _unique_root(G: LabeledGraph) -> RootResult:
-    """``cube_root(G)``, raising unless G's root is unique."""
-    r = cube_root(G)
-    if r.kind is RootKind.NOT_A_CUBE:
-        raise NotACubeError("input graph is not the cube of a tree")
-    if r.kind is RootKind.AMBIGUOUS_COMPLETE:
-        raise AmbiguousStructureError("complete cube: the root tree is not unique")
-    return r
-
-
 def tree_of_cliques(G: LabeledGraph) -> Tree:
     """The tree formed by the clique edges, isomorphic to the root's skeleton."""
     if G.p and is_complete(G):
         raise AmbiguousStructureError("complete cube: clique structure is degenerate")
-    return end_deleted(_unique_root(G).tree)
-
+    root = cube_root(G).tree
+    if root is None:
+        raise NotACubeError("input graph is not the cube of a tree")
+    return end_deleted(root)

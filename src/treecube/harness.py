@@ -102,8 +102,8 @@ class CollisionResult:
             "require_noncomplete": self.require_noncomplete,
             "pairs": [
                 {
-                    "tree1_edges": p.tree1.graph.edge_list(),
-                    "tree2_edges": p.tree2.graph.edge_list(),
+                    "tree1_edges": p.tree1.edge_list(),
+                    "tree2_edges": p.tree2.edge_list(),
                     "power_certificate": p.power_certificate.hex(),
                     "complete": p.complete,
                 }
@@ -150,32 +150,32 @@ def noncube_corpus(count: int, max_order: int, seed: int = NONCUBE_CORPUS_SEED) 
 
 def _thm31_unit(T: Tree) -> tuple[int, list[dict]]:
     # leaf <=> cube commutes with vertex deletion (power taken per component)
-    G = power(T.graph, 3)
+    G = power(T, 3)
     leaf_set = leaves(T)
     checked = 0
     failures = []
     for v in range(T.p):
         checked += 1
-        lhs = power(delete_vertex(T.graph, v), 3)
+        lhs = power(delete_vertex(T, v), 3)
         rhs = delete_vertex(G, v)
         if is_isomorphic(lhs, rhs) != (v in leaf_set):
-            failures.append({"tree": canonical_form(T.graph).hex(), "vertex": v})
+            failures.append({"tree": canonical_form(T).hex(), "vertex": v})
     return checked, failures
 
 
 def _lemma21_unit(T: Tree) -> tuple[int, list[dict]]:
-    if diameter(T.graph) < 4:
+    if diameter(T) < 4:
         return 0, []
     span_sets = sorted(sorted(r.members) for r in cliques_of_cube(T))
-    clique_sets = sorted(sorted(s) for s in maximal_cliques(power(T.graph, 3)))
+    clique_sets = sorted(sorted(s) for s in maximal_cliques(power(T, 3)))
     if span_sets != clique_sets:
-        return 1, [{"tree": canonical_form(T.graph).hex()}]
+        return 1, [{"tree": canonical_form(T).hex()}]
     return 1, []
 
 
 def _lemma24_unit(T: Tree) -> tuple[int, list[dict]]:
     # every proper-or-full leaf subset whose deletion leaves a nonempty graph
-    G = power(T.graph, 3)
+    G = power(T, 3)
     leaf_list = sorted(leaves(T))
     checked = 0
     failures = []
@@ -185,32 +185,36 @@ def _lemma24_unit(T: Tree) -> tuple[int, list[dict]]:
             continue
         checked += 1
         if not is_tree_cube(delete_vertices(G, subset)):
-            failures.append({"tree": canonical_form(T.graph).hex(), "deleted": subset})
+            failures.append({"tree": canonical_form(T).hex(), "deleted": subset})
     return checked, failures
 
 
 def _lemma25_unit(T: Tree) -> tuple[int, list[dict]]:
-    if diameter(T.graph) < 4:
+    if diameter(T) < 4:
         return 0, []
-    xi = tree_of_cliques(power(T.graph, 3))
+    xi = tree_of_cliques(power(T, 3))
     if ahu_code(xi) != ahu_code(end_deleted(T)):
-        return 1, [{"tree": canonical_form(T.graph).hex()}]
+        return 1, [{"tree": canonical_form(T).hex()}]
     return 1, []
 
 
 def _rc_unit(T: Tree) -> tuple[int, list[dict]]:
-    G = power(T.graph, 3)
+    G = power(T, 3)
     S = deck(G)
     failures = []
     report = reconstruct(S)
-    if not (report.recognized and report.graph is not None and is_isomorphic(report.graph, G)):
+    # isomorphic trees have isomorphic cubes, so no labeling is needed: the
+    # rebuilt graph is the rebuilt tree's cube, and that tree is T's class
+    # (a complete deck rebuilds K_p, labeled-equal to G, from one of its roots)
+    if not (report.recognized and report.graph == power(report.tree, 3)
+            and (report.graph == G or ahu_code(report.tree) == ahu_code(T))):
         failures.append({"reason": "reconstruction failed or mismatched"})
     # every endpoint-deleted card must pass the cube test
     for v in sorted(leaves(T)):
         if not is_tree_cube(delete_vertex(G, v)):
             failures.append({"vertex": v, "reason": "endpoint card rejected by the cube test"})
     # label the tree only for a failure
-    return 1, [{"tree": canonical_form(T.graph).hex(), **f} for f in failures]
+    return 1, [{"tree": canonical_form(T).hex(), **f} for f in failures]
 
 
 def internal_cube_cards(T: Tree) -> list[int]:
@@ -223,7 +227,7 @@ def internal_cube_cards(T: Tree) -> list[int]:
     equal to them; reconstruction stays sound because candidates from every
     selected card are verified against the full deck.
     """
-    G = power(T.graph, 3)
+    G = power(T, 3)
     leaf_set = leaves(T)
     return [v for v in range(T.p)
             if v not in leaf_set and is_tree_cube(delete_vertex(G, v))]
@@ -233,7 +237,7 @@ def endpoint_precision_counterexamples(max_order: int) -> list[tuple[Tree, tuple
     """Trees with non-complete cubes where internal cards pass the cube test."""
     out = []
     for T in _trees_in_range(3, max_order):
-        if is_complete(power(T.graph, 3)):
+        if is_complete(power(T, 3)):
             continue
         hits = internal_cube_cards(T)
         if hits:
@@ -298,8 +302,8 @@ def _suite_thm32(max_order, workers):
     # every equal-order pair is checked; the failures are the cube collisions
     checked = sum(math.comb(len(enumerate_trees(p)), 2) for p in range(1, max_order + 1))
     failures = [{
-        "tree1": canonical_form(pair.tree1.graph).hex(),
-        "tree2": canonical_form(pair.tree2.graph).hex(),
+        "tree1": canonical_form(pair.tree1).hex(),
+        "tree2": canonical_form(pair.tree2).hex(),
         "power_certificate": pair.power_certificate.hex(),
     } for pair in collide(3, max_order, require_noncomplete=True, workers=workers).pairs]
     return checked, failures
@@ -318,7 +322,7 @@ def _suite_recognition_negative(max_order, workers):
 
 
 def _suite_oracle_agreement(max_order, workers):
-    units = [power(T.graph, 3) for T in _trees_in_range(1, max_order)]
+    units = [power(T, 3) for T in _trees_in_range(1, max_order)]
     units.extend(noncube_corpus(NONCUBE_CORPUS_SIZE, max_order))
     return _sweep(_oracle_agreement_unit, units, workers)
 
@@ -372,7 +376,7 @@ def collide(n: int, max_order: int, require_noncomplete: bool = False,
         for cert, idxs in sorted(buckets.items()):
             if len(idxs) < 2:
                 continue
-            complete = is_complete(power(trees[idxs[0]].graph, n))
+            complete = is_complete(power(trees[idxs[0]], n))
             if require_noncomplete and complete:
                 continue
             for a in range(len(idxs)):
@@ -382,4 +386,4 @@ def collide(n: int, max_order: int, require_noncomplete: bool = False,
 
 
 def _power_cert(n: int, T: Tree) -> CanonicalForm:
-    return canonical_form(power(T.graph, n))
+    return canonical_form(power(T, n))

@@ -18,36 +18,24 @@ from .graphs import LabeledGraph, induced_subgraph, is_connected
 DEFAULT_MAX_ORDER = 12
 
 
-class Tree:
+class Tree(LabeledGraph):
     """A LabeledGraph satisfying the tree invariant (p=0 allowed: empty tree)."""
 
-    __slots__ = ("graph",)
+    __slots__ = ()
 
     def __init__(self, graph: LabeledGraph):
         if not is_tree(graph):
             raise NotATreeError(f"graph with p={graph.p}, m={len(graph.edges)} is not a tree")
-        self.graph = graph
+        # share the checked graph's state instead of rebuilding it
+        self.p, self.edges, self._adj = graph.p, graph.edges, graph._adj
 
     @property
-    def p(self) -> int:
-        return self.graph.p
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.graph.neighbors(v)
-
-    def degree(self, v: int) -> int:
-        return self.graph.degree(v)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tree):
-            return NotImplemented
-        return self.graph == other.graph
-
-    def __hash__(self) -> int:
-        return hash(self.graph)
+    def graph(self) -> "Tree":
+        """The tree itself, which is its own graph."""
+        return self
 
     def __repr__(self) -> str:
-        return f"Tree(p={self.p}, edges={self.graph.edge_list()})"
+        return f"Tree(p={self.p}, edges={self.edge_list()})"
 
 
 def is_tree(G: LabeledGraph) -> bool:
@@ -71,21 +59,24 @@ def end_deleted(T: Tree) -> Tree:
 
     Both P1 and P2 end-delete to the empty tree.
     """
-    return Tree(induced_subgraph(T.graph, core_vertices(T, 1))[0])
+    return Tree(induced_subgraph(T, core_vertices(T, 1))[0])
 
 
 def leaf_orders(T: Tree) -> tuple[frozenset[int], ...]:
     """The layers L_0, L_1, ...: L_i holds the leaves of the i-times end-deleted tree.
 
     This is the one place a tree is peeled; every end-deletion notion derives
-    from these layers.
+    from these layers. A round with no vertex of degree at most 1 means a
+    cycle, which would never peel, so it raises ``NotATreeError``.
     """
-    adj = T.graph._adj
+    adj = T._adj
     deg = [a.bit_count() for a in adj]
     alive = set(range(T.p))
     orders = []
     while alive:
         layer = frozenset(v for v in alive if deg[v] <= 1)
+        if not layer:
+            raise NotATreeError(f"graph with p={T.p}, m={len(T.edges)} has a cycle")
         orders.append(layer)
         for v in layer:
             alive.discard(v)
@@ -118,7 +109,7 @@ def layer_terminal_edges(T: Tree, orders: tuple[frozenset[int], ...],
     core = frozenset().union(*orders[k:])
     if not core:
         raise ValueError(f"tree exhausted after {k} end-deletions")
-    return frozenset(e for e in T.graph.edges if e[0] in core and e[1] in core
+    return frozenset(e for e in T.edges if e[0] in core and e[1] in core
                      and (e[0] in orders[k] or e[1] in orders[k]))
 
 
@@ -141,7 +132,7 @@ def ahu_code(T: Tree) -> str:
     """
     if T.p == 0:
         return ""
-    adj = T.graph._adj
+    adj = T._adj
     code = [""] * T.p
     done = 0
     for layer in leaf_orders(T):
@@ -175,7 +166,7 @@ def leaf_extensions(trees: Iterable[Tree]) -> dict[str, Tree]:
     out: dict[str, Tree] = {}
     for small in trees:
         p = small.p + 1
-        base = list(small.graph.edges)
+        base = list(small.edges)
         for attach in range(small.p):
             cand = Tree(LabeledGraph(p, base + [(attach, p - 1)]))
             out.setdefault(ahu_code(cand), cand)

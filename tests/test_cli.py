@@ -183,6 +183,19 @@ def test_reconstruct_fails_on_the_card_count_first(tmp_path, capsys):
     assert "needs 256 cards, found 12" in capsys.readouterr().err
 
 
+def test_deck_above_the_deck_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    from treecube import _kernels
+
+    def refuse(*args):
+        raise AssertionError("a canonical labeling was run")
+
+    src = write_graph(tmp_path, "p257.txt", path_graph(257))
+    monkeypatch.setattr(_kernels, "canonical_labeling", refuse)
+    assert main(["deck", src, "-o", str(tmp_path / "deck.txt")]) == 2
+    assert "exceeds the deck limit 256" in capsys.readouterr().err
+    assert not (tmp_path / "deck.txt").exists()
+
+
 def test_usage_error_exit_codes(tmp_path, capsys):
     assert main(["verify", "nosuchsuite"]) == 2
     capsys.readouterr()

@@ -20,7 +20,12 @@ from treecube.cubes import (
     terminal_cliques,
     tree_of_cliques,
 )
-from treecube.errors import AmbiguousStructureError, EnumerationLimitError, NotACubeError
+from treecube.errors import (
+    AmbiguousStructureError,
+    EnumerationLimitError,
+    NotACubeError,
+    NotATreeError,
+)
 from treecube.graphs import (
     LabeledGraph,
     canonical_form,
@@ -175,9 +180,26 @@ def test_kth_order_terminal_cliques_match_private_vertex_cliques():
     assert defined == 249
 
 
-def test_kth_order_terminal_cliques_accepts_cubes():
-    got = kth_order_terminal_cliques(power(path_graph(9), 3), 1)
-    assert len(got) == 2
+def test_kth_order_terminal_cliques_refuses_a_cube():
+    # a cube reaches the structure functions through cube_root, in the
+    # root's labels; passed as a tree, its cycles are refused
+    with pytest.raises(NotATreeError):
+        kth_order_terminal_cliques(power(path_graph(9), 3), 1)
+
+
+def test_a_cubes_terminal_cliques_come_through_its_root():
+    # the records are in the root's labels; vertex_map carries them onto
+    # cliques of the cube itself
+    perm = list(range(9))
+    random.Random(1).shuffle(perm)
+    G = relabel(power(path_graph(9), 3), perm)
+    r = cube_root(G)
+    for k in (0, 1):
+        records = kth_order_terminal_cliques(r.tree, k)
+        assert len(records) == 2
+        for rec in records:
+            members = sorted(r.vertex_map[v] for v in rec.members)
+            assert all(G.has_edge(u, v) for i, u in enumerate(members) for v in members[i + 1:])
 
 
 def test_cube_root_examples():
@@ -498,10 +520,3 @@ def test_kth_order_terminal_cliques_peels_once(monkeypatch):
         calls.clear()
         assert len(kth_order_terminal_cliques(P(11), k)) == 2
         assert len(calls) == 1
-
-
-def test_kth_order_terminal_cliques_rejects_graphs_without_a_unique_root():
-    with pytest.raises(NotACubeError, match="not the cube of a tree"):
-        kth_order_terminal_cliques(cycle_graph(6), 0)
-    with pytest.raises(AmbiguousStructureError, match="root tree is not unique"):
-        kth_order_terminal_cliques(complete_graph(6), 0)

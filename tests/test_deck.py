@@ -54,6 +54,18 @@ def test_deck_validation():
         Deck((canonical_form(path_graph(3)),))  # card order mismatch
 
 
+def test_deck_refuses_an_order_that_parse_deck_would_refuse(monkeypatch):
+    # a deck above the cap could never be read back, so none is built
+    from treecube.deck import MAX_DECK_ORDER
+
+    def refuse(*args):
+        raise AssertionError("a canonical labeling was run")
+
+    monkeypatch.setattr(_kernels, "canonical_labeling", refuse)
+    with pytest.raises(ValueError, match=f"exceeds the deck limit {MAX_DECK_ORDER}"):
+        deck(path_graph(MAX_DECK_ORDER + 1))
+
+
 def test_deck_check_examples():
     assert deck_check(complete_graph(3), deck(complete_graph(3)))
     assert not deck_check(path_graph(3), deck(complete_graph(3)))

@@ -65,7 +65,7 @@ LABELINGS_AT_ORDER_8 = {
     "lemma21": 0,
     "lemma24": 0,
     "lemma25": 0,
-    "rc-pipeline": 606,
+    "rc-pipeline": 554,
     "recognition-negative": 317,
     "oracle-agreement": 296,
 }

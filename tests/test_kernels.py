@@ -80,6 +80,20 @@ def test_kernel_names_stay_on_the_module():
     assert {"max_order", "workers"} <= set(inspect.signature(run_suite).parameters)
 
 
+def test_result_types_keep_the_surface_the_benchmark_reads():
+    # bench/ is not in the tier-1 run, so the shapes its workloads and tests
+    # build and read are pinned here
+    import treecube
+    tree = treecube.Tree(treecube.path_graph(5))
+    assert tree.p == 5 and tree.graph.edges == treecube.path_graph(5).edges
+    root = treecube.RootResult.unique(tree)
+    assert root.kind.value == "unique" and root.roots == (tree,) and root.tree is tree
+    report = treecube.ReconstructionReport(True, None, tree, ())
+    assert report.recognized and report.tree is tree
+    verified = treecube.VerificationReport("thm32", 10, 1, (), 0.0)
+    assert verified.passed and verified.checked == 1
+
+
 def test_python_kernels_handle_large_orders():
     p = 70
     edges = [(i, i + 1) for i in range(p - 1)]

@@ -85,6 +85,25 @@ def test_leaf_orders_examples():
     assert leaf_orders(P(2)) == (frozenset({0, 1}),)
 
 
+def test_leaf_orders_refuses_a_cycle_instead_of_peeling_forever():
+    # a tree is a LabeledGraph, so a graph with a cycle can reach the peeling
+    with pytest.raises(NotATreeError, match="has a cycle"):
+        leaf_orders(cycle_graph(6))
+    # the cycle may hide behind pendant vertices that peel first
+    with pytest.raises(NotATreeError):
+        leaf_orders(LabeledGraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]))
+
+
+def test_a_tree_is_its_own_graph():
+    T = P(5)
+    assert isinstance(T, LabeledGraph) and T.graph is T
+    assert T == path_graph(5) and hash(T) == hash(path_graph(5))
+    assert T.neighbors(2) == (1, 3) and T.degree(0) == 1
+    assert repr(T) == "Tree(p=5, edges=[(0, 1), (1, 2), (2, 3), (3, 4)])"
+    with pytest.raises(AttributeError):
+        T.graph = path_graph(5)
+
+
 def test_leaf_orders_partition_all_trees():
     for p in range(1, 10):
         for T in enumerate_trees(p):
