@@ -15,9 +15,7 @@ from .cubes import (
     cube_root,
     cube_root_oracle,
     is_tree_cube,
-    kth_order_terminal_cliques,
     maximal_cliques,
-    terminal_cliques,
     tree_of_cliques,
 )
 from .deck import (
@@ -74,25 +72,19 @@ from .harness import (
     CollisionResult,
     VerificationReport,
     collide,
-    endpoint_precision_counterexamples,
-    internal_cube_cards,
     noncube_corpus,
     run_suite,
 )
 from .trees import (
     Tree,
     ahu_code,
-    centers,
-    core_vertices,
     end_deleted,
     enumerate_trees,
     is_tree,
-    kth_order_terminal_edges,
     leaf_extensions,
     leaf_orders,
     leaves,
     max_enumeration_order,
-    terminal_edges,
 )
 
 __version__ = "0.1.0"

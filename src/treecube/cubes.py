@@ -35,8 +35,6 @@ from .trees import (
     Tree,
     end_deleted,
     enumerate_trees,
-    layer_terminal_edges,
-    leaf_orders,
     leaves,
 )
 
@@ -110,33 +108,6 @@ def cliques_of_cube(T: Tree) -> list[CliqueRecord]:
     the cube.
     """
     return [CliqueRecord(edge_span(T, e, 1), e) for e in sorted(clique_edges_of_tree(T))]
-
-
-def terminal_cliques(T: Tree) -> list[CliqueRecord]:
-    """Cliques centered on pendant skeleton edges (an endpoint in L_1)."""
-    return kth_order_terminal_cliques(T, 0)
-
-
-def kth_order_terminal_cliques(T: Tree, k: int) -> list[CliqueRecord]:
-    """Terminal cliques of the k-times end-deleted tree's cube.
-
-    They are the 1-spans of the terminal edges of the (k+1)-times end-deleted
-    tree, taken within the k-times end-deleted one. A cube's records come
-    from its ``cube_root``, mapped to the cube's vertices through
-    ``vertex_map``.
-    """
-    if k < 0:
-        raise ValueError("order must be non-negative")
-    orders = leaf_orders(T)
-    core = frozenset().union(*orders[k:])
-    if not core:
-        raise ValueError(f"tree exhausted after {k} end-deletions")
-    # the k-times end-deleted tree has diameter below 4 iff one more
-    # end-deletion leaves at most its one or two centers
-    if len(core) - len(orders[k]) <= 2:
-        raise AmbiguousStructureError("cube is complete: no terminal clique structure")
-    return [CliqueRecord(edge_span(T, e, 1) & core, e)
-            for e in sorted(layer_terminal_edges(T, orders, k + 1))]
 
 
 # ── constructive root extraction ──────────────────────────────────────

@@ -217,34 +217,6 @@ def _rc_unit(T: Tree) -> tuple[int, list[dict]]:
     return 1, [{"tree": canonical_form(T).hex(), **f} for f in failures]
 
 
-def internal_cube_cards(T: Tree) -> list[int]:
-    """Internal vertices whose cube cards are themselves tree cubes.
-
-    Deleting an internal vertex from a non-complete cube can still leave the
-    cube of some (other) tree: the spider with legs 2, 2, 1 cubes to K6 minus
-    an edge, and removing its center leaves K5 minus an edge, the cube of P5.
-    So the card selection is a superset of the endpoint cards, not always
-    equal to them; reconstruction stays sound because candidates from every
-    selected card are verified against the full deck.
-    """
-    G = power(T, 3)
-    leaf_set = leaves(T)
-    return [v for v in range(T.p)
-            if v not in leaf_set and is_tree_cube(delete_vertex(G, v))]
-
-
-def endpoint_precision_counterexamples(max_order: int) -> list[tuple[Tree, tuple[int, ...]]]:
-    """Trees with non-complete cubes where internal cards pass the cube test."""
-    out = []
-    for T in _trees_in_range(3, max_order):
-        if is_complete(power(T, 3)):
-            continue
-        hits = internal_cube_cards(T)
-        if hits:
-            out.append((T, tuple(hits)))
-    return out
-
-
 def _recognition_negative_unit(G: LabeledGraph) -> tuple[int, list[dict]]:
     if reconstruct(deck(G)).recognized:
         return 1, [{"graph": canonical_form(G).hex()}]

@@ -31,7 +31,7 @@ class Tree(LabeledGraph):
 
     @property
     def graph(self) -> "Tree":
-        """The tree itself, which is its own graph."""
+        """The tree itself; kept only because ``bench/workloads.py`` reads it."""
         return self
 
     def __repr__(self) -> str:
@@ -59,7 +59,7 @@ def end_deleted(T: Tree) -> Tree:
 
     Both P1 and P2 end-delete to the empty tree.
     """
-    return Tree(induced_subgraph(T, core_vertices(T, 1))[0])
+    return Tree(induced_subgraph(T, frozenset().union(*leaf_orders(T)[1:]))[0])
 
 
 def leaf_orders(T: Tree) -> tuple[frozenset[int], ...]:
@@ -67,7 +67,8 @@ def leaf_orders(T: Tree) -> tuple[frozenset[int], ...]:
 
     This is the one place a tree is peeled; every end-deletion notion derives
     from these layers. A round with no vertex of degree at most 1 means a
-    cycle, which would never peel, so it raises ``NotATreeError``.
+    cycle, which would never peel, so it raises ``NotATreeError``; so does a
+    forest, which peels but is acyclic with fewer than p - 1 edges.
     """
     adj = T._adj
     deg = [a.bit_count() for a in adj]
@@ -83,44 +84,9 @@ def leaf_orders(T: Tree) -> tuple[frozenset[int], ...]:
             for u in _kernels.bits(adj[v]):
                 if u in alive:
                     deg[u] -= 1
+    if T.p and len(T.edges) != T.p - 1:
+        raise NotATreeError(f"graph with p={T.p}, m={len(T.edges)} is a forest")
     return tuple(orders)
-
-
-def core_vertices(T: Tree, k: int) -> frozenset[int]:
-    """Vertices (original ids) surviving k rounds of end-deletion."""
-    if k < 0:
-        raise ValueError("deletion count must be non-negative")
-    return frozenset().union(*leaf_orders(T)[k:])
-
-
-def terminal_edges(T: Tree) -> frozenset[tuple[int, int]]:
-    """Edges with at least one degree-1 endpoint."""
-    return kth_order_terminal_edges(T, 0)
-
-
-def kth_order_terminal_edges(T: Tree, k: int) -> frozenset[tuple[int, int]]:
-    """Terminal edges of the k-times end-deleted tree, in original vertex ids."""
-    return layer_terminal_edges(T, leaf_orders(T), k)
-
-
-def layer_terminal_edges(T: Tree, orders: tuple[frozenset[int], ...],
-                         k: int) -> frozenset[tuple[int, int]]:
-    """Edges inside the k-core with an endpoint in L_k, given T's ``leaf_orders``."""
-    core = frozenset().union(*orders[k:])
-    if not core:
-        raise ValueError(f"tree exhausted after {k} end-deletions")
-    return frozenset(e for e in T.edges if e[0] in core and e[1] in core
-                     and (e[0] in orders[k] or e[1] in orders[k]))
-
-
-# ── free-tree enumeration ─────────────────────────────────────────────
-
-
-def centers(T: Tree) -> frozenset[int]:
-    """The 1- or 2-vertex core left by repeated leaf removal."""
-    if T.p == 0:
-        return frozenset()
-    return leaf_orders(T)[-1]
 
 
 def ahu_code(T: Tree) -> str:
@@ -143,6 +109,9 @@ def ahu_code(T: Tree) -> str:
     if len(layer) == 1:
         return code[next(iter(layer))]
     return "[" + "".join(sorted(code[v] for v in layer)) + "]"
+
+
+# ── free-tree enumeration ─────────────────────────────────────────────
 
 
 def max_enumeration_order() -> int:

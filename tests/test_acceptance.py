@@ -39,11 +39,11 @@ def test_criterion_1_power_matches_distance_oracle():
     with criterion(1, "cube agrees with the BFS distance oracle, p <= 10", time_limit=10):
         for p in range(1, 11):
             for T in enumerate_trees(p):
-                dist = bfs_distances_oracle(T.graph)
+                dist = bfs_distances_oracle(T)
                 want = LabeledGraph(p, [
                     (u, v) for u in range(p) for v in range(u + 1, p)
                     if dist[u][v] is not None and 1 <= dist[u][v] <= 3])
-                assert power(T.graph, 3) == want
+                assert power(T, 3) == want
 
 
 def test_criterion_2_leaf_deletion_equivalence_sweep():
@@ -108,8 +108,8 @@ def test_criterion_10_collision_harness():
                 canonical_form(star_graph(5))}
         hits = [
             pair for pair in result.pairs
-            if {canonical_form(pair.tree1.graph),
-                canonical_form(pair.tree2.graph)} == want
+            if {canonical_form(pair.tree1),
+                canonical_form(pair.tree2)} == want
         ]
         assert len(hits) == 1
         assert hits[0].complete

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from helpers import (
-    bfs_distances_oracle,
     brute_force_maximal_cliques,
     random_prufer_tree,
     refuse_distance_matrix,
@@ -15,16 +14,13 @@ from treecube.cubes import (
     cube_root,
     cube_root_oracle,
     is_tree_cube,
-    kth_order_terminal_cliques,
     maximal_cliques,
-    terminal_cliques,
     tree_of_cliques,
 )
 from treecube.errors import (
     AmbiguousStructureError,
     EnumerationLimitError,
     NotACubeError,
-    NotATreeError,
 )
 from treecube.graphs import (
     LabeledGraph,
@@ -69,7 +65,7 @@ def test_clique_edges_examples():
 def test_clique_edges_equal_end_deleted_edge_count():
     for p in range(1, 10):
         for T in enumerate_trees(p):
-            assert len(clique_edges_of_tree(T)) == len(end_deleted(T).graph.edges)
+            assert len(clique_edges_of_tree(T)) == len(end_deleted(T).edges)
 
 
 def test_cliques_of_cube_examples():
@@ -101,105 +97,21 @@ def test_maximal_cliques_match_brute_force():
 def test_cliques_of_cube_are_the_maximal_cliques():
     for p in range(5, 10):
         for T in enumerate_trees(p):
-            if diameter(T.graph) < 4:
+            if diameter(T) < 4:
                 continue
             spans = sorted(sorted(r.members) for r in cliques_of_cube(T))
-            cliques = sorted(sorted(c) for c in maximal_cliques(power(T.graph, 3)))
+            cliques = sorted(sorted(c) for c in maximal_cliques(power(T, 3)))
             assert spans == cliques
 
 
 def test_tree_of_cliques_examples():
-    assert is_isomorphic(tree_of_cliques(power(path_graph(5), 3)).graph,
-                         end_deleted(P(5)).graph)
-    assert is_isomorphic(tree_of_cliques(power(path_graph(7), 3)).graph, path_graph(5))
+    assert is_isomorphic(tree_of_cliques(power(path_graph(5), 3)),
+                         end_deleted(P(5)))
+    assert is_isomorphic(tree_of_cliques(power(path_graph(7), 3)), path_graph(5))
     with pytest.raises(AmbiguousStructureError):
         tree_of_cliques(complete_graph(5))
     with pytest.raises(NotACubeError):
         tree_of_cliques(cycle_graph(6))
-
-
-def test_terminal_cliques_examples():
-    assert len(terminal_cliques(P(5))) == 2
-    edges = sorted(r.clique_edge for r in terminal_cliques(P(7)))
-    assert edges == [(1, 2), (4, 5)]
-    assert len(terminal_cliques(spider(3, 3, 3))) == 3
-    with pytest.raises(AmbiguousStructureError):
-        terminal_cliques(P(4))
-
-
-def test_kth_order_terminal_cliques_examples():
-    got = kth_order_terminal_cliques(P(7), 1)
-    want = terminal_cliques(P(5))
-    assert sorted(r.members for r in got) == sorted(
-        frozenset(v + 1 for v in r.members) for r in want)
-    with pytest.raises(AmbiguousStructureError):
-        kth_order_terminal_cliques(P(5), 1)
-    assert len(kth_order_terminal_cliques(P(9), 1)) == 2
-    assert kth_order_terminal_cliques(P(7), 0) == terminal_cliques(P(7))
-    with pytest.raises(ValueError):
-        kth_order_terminal_cliques(P(7), 5)
-
-
-def _terminal_cliques_reference(T, k):
-    """Maximal cliques of the k-times end-deleted tree's cube that own a vertex
-    lying in no other maximal clique, in T's labels; None once T is exhausted."""
-    alive = set(range(T.p))
-    for _ in range(k):
-        alive -= {v for v in alive if sum(u in alive for u in T.neighbors(v)) <= 1}
-    if not alive:
-        return None
-    old = sorted(alive)
-    sub = LabeledGraph(len(old), [(old.index(u), old.index(v)) for u, v in T.graph.edges
-                                  if u in alive and v in alive])
-    dist = bfs_distances_oracle(sub)
-    cube = LabeledGraph(sub.p, [(u, v) for u in range(sub.p) for v in range(u + 1, sub.p)
-                                if dist[u][v] <= 3])
-    cliques = brute_force_maximal_cliques(cube)
-    return {frozenset(old[v] for v in c) for c in cliques
-            if any(all(v not in d for d in cliques if d != c) for v in c)}
-
-
-def test_kth_order_terminal_cliques_match_private_vertex_cliques():
-    defined = 0
-    for p in range(1, 11):
-        for T in enumerate_trees(p):
-            for k in range(p):
-                want = _terminal_cliques_reference(T, k)
-                if want is None:
-                    with pytest.raises(ValueError):
-                        kth_order_terminal_cliques(T, k)
-                    break
-                if len(want) == 1:
-                    # one maximal clique: the cube is complete
-                    with pytest.raises(AmbiguousStructureError):
-                        kth_order_terminal_cliques(T, k)
-                    continue
-                got = [r.members for r in kth_order_terminal_cliques(T, k)]
-                assert len(got) == len(want) and set(got) == want, (T, k)
-                defined += 1
-    assert defined == 249
-
-
-def test_kth_order_terminal_cliques_refuses_a_cube():
-    # a cube reaches the structure functions through cube_root, in the
-    # root's labels; passed as a tree, its cycles are refused
-    with pytest.raises(NotATreeError):
-        kth_order_terminal_cliques(power(path_graph(9), 3), 1)
-
-
-def test_a_cubes_terminal_cliques_come_through_its_root():
-    # the records are in the root's labels; vertex_map carries them onto
-    # cliques of the cube itself
-    perm = list(range(9))
-    random.Random(1).shuffle(perm)
-    G = relabel(power(path_graph(9), 3), perm)
-    r = cube_root(G)
-    for k in (0, 1):
-        records = kth_order_terminal_cliques(r.tree, k)
-        assert len(records) == 2
-        for rec in records:
-            members = sorted(r.vertex_map[v] for v in rec.members)
-            assert all(G.has_edge(u, v) for i, u in enumerate(members) for v in members[i + 1:])
 
 
 def test_cube_root_examples():
@@ -207,12 +119,12 @@ def test_cube_root_examples():
     r = cube_root(power(path_graph(5), 3))
     assert r.kind is RootKind.UNIQUE
     assert r.roots == (r.tree,)
-    assert is_isomorphic(r.tree.graph, path_graph(5))
+    assert is_isomorphic(r.tree, path_graph(5))
 
     r = cube_root(complete_graph(4))
     assert r.kind is RootKind.AMBIGUOUS_COMPLETE
     assert r.tree is None
-    certs = {canonical_form(T.graph) for T in r.roots}
+    certs = {canonical_form(T) for T in r.roots}
     assert certs == {canonical_form(path_graph(4)), canonical_form(star_graph(4))}
 
     r = cube_root(cycle_graph(6))
@@ -248,11 +160,11 @@ def test_cube_root_complete_roots_are_all_small_diameter_trees():
     for p in range(3, 13):
         r = cube_root(complete_graph(p))
         assert r.kind is RootKind.AMBIGUOUS_COMPLETE
-        want = [T for T in enumerate_trees(p) if diameter(T.graph) <= 3]
-        assert [T.graph.edge_list() for T in r.roots] == [T.graph.edge_list() for T in want]
+        want = [T for T in enumerate_trees(p) if diameter(T) <= 3]
+        assert [T.edge_list() for T in r.roots] == [T.edge_list() for T in want]
         for T in r.roots:
-            assert diameter(T.graph) <= 3
-            assert is_complete(power(T.graph, 3))
+            assert diameter(T) <= 3
+            assert is_complete(power(T, 3))
 
 
 def test_cube_root_complete_roots_at_every_order(monkeypatch):
@@ -264,10 +176,10 @@ def test_cube_root_complete_roots_at_every_order(monkeypatch):
         r = cube_root(complete_graph(p))
         assert r.kind is RootKind.AMBIGUOUS_COMPLETE and r.tree is None
         assert len(r.roots) == (p - 2) // 2 + 1
-        assert r.roots[0].graph.edges == star_graph(p).edges
+        assert r.roots[0].edges == star_graph(p).edges
         for T in r.roots:
-            assert diameter(T.graph) <= 3
-            assert is_complete(power(T.graph, 3))
+            assert diameter(T) <= 3
+            assert is_complete(power(T, 3))
         assert len({ahu_code(T) for T in r.roots}) == len(r.roots)
         monkeypatch.setenv("TREECUBE_MAX_ORDER", "3")
         cubes._complete_roots.cache_clear()
@@ -279,7 +191,7 @@ def assert_maps_cube_onto(r, G):
     """The root's vertex map carries its cube onto G, edge for edge."""
     phi = r.vertex_map
     assert sorted(phi) == list(range(G.p))
-    assert {tuple(sorted((phi[u], phi[v]))) for u, v in power(r.tree.graph, 3).edges} == G.edges
+    assert {tuple(sorted((phi[u], phi[v]))) for u, v in power(r.tree, 3).edges} == G.edges
 
 
 def test_cube_root_oracle_matches_and_limits(monkeypatch):
@@ -292,7 +204,7 @@ def test_cube_root_oracle_matches_and_limits(monkeypatch):
         assert len(a.roots) == len(b.roots)
         if a.kind is RootKind.UNIQUE:
             assert b.roots == (b.tree,)
-            assert is_isomorphic(a.tree.graph, b.tree.graph)
+            assert is_isomorphic(a.tree, b.tree)
             assert_maps_cube_onto(a, G)
             assert_maps_cube_onto(b, G)
     # above the cap the enumeration refuses before any canonical labeling
@@ -312,13 +224,13 @@ def test_cube_root_oracle_matches_and_limits(monkeypatch):
 def test_unique_root_verifies_by_recubing():
     for p in range(5, 11):
         for T in enumerate_trees(p):
-            G = power(T.graph, 3)
+            G = power(T, 3)
             if is_complete(G):
                 continue
             r = cube_root(G)
             assert r.kind is RootKind.UNIQUE
-            assert is_isomorphic(power(r.tree.graph, 3), G)
-            assert is_isomorphic(r.tree.graph, T.graph)
+            assert is_isomorphic(power(r.tree, 3), G)
+            assert is_isomorphic(r.tree, T)
 
 
 def test_is_tree_cube_examples():
@@ -342,7 +254,7 @@ def test_terminal_vertices_are_a_valid_root_leaf_set():
         return {r.vertex_map[v] for v in leaves(r.tree)}
 
     for T in enumerate_trees(7):
-        G = power(T.graph, 3)
+        G = power(T, 3)
         if is_complete(G):
             continue
         perm = list(range(G.p))
@@ -357,11 +269,11 @@ def test_terminal_vertices_are_a_valid_root_leaf_set():
 
 def test_theorem_31_leaf_deletion_equivalence_spot():
     for T in enumerate_trees(7):
-        G = power(T.graph, 3)
+        G = power(T, 3)
         leaf_set = leaves(T)
         for v in range(T.p):
             from treecube.graphs import delete_vertex
-            lhs = power(delete_vertex(T.graph, v), 3)
+            lhs = power(delete_vertex(T, v), 3)
             rhs = delete_vertex(G, v)
             assert is_isomorphic(lhs, rhs) == (v in leaf_set)
 
@@ -377,7 +289,7 @@ def test_constructive_extraction_beyond_enumeration_cap():
         G = power(T, 3)
         r = cube_root(G)
         assert r.kind is RootKind.UNIQUE
-        assert is_isomorphic(power(r.tree.graph, 3), G)
+        assert is_isomorphic(power(r.tree, 3), G)
     assert cube_root(cycle_graph(30)).kind is RootKind.NOT_A_CUBE
 
 
@@ -387,7 +299,7 @@ def test_cube_root_of_a_large_clique_minus_an_edge():
     # Python's recursion limit
     legs = [(0, 1), (1, 2), (0, 3), (3, 4)]
     spider = Tree(LabeledGraph(1100, legs + [(0, v) for v in range(5, 1100)]))
-    r = cube_root(power(spider.graph, 3))
+    r = cube_root(power(spider, 3))
     assert r.kind is RootKind.UNIQUE
     assert ahu_code(r.tree) == ahu_code(spider)
 
@@ -408,7 +320,7 @@ def complete_binary_tree(depth):
 def relabeled_cube(T, rng):
     perm = list(range(T.p))
     rng.shuffle(perm)
-    return relabel(power(T.graph, 3), perm)
+    return relabel(power(T, 3), perm)
 
 
 def test_cube_root_runs_no_canonical_labeling(monkeypatch):
@@ -469,7 +381,7 @@ def test_cube_root_needs_no_enumeration_fallback():
     rng = random.Random(11)
     for p in range(5, 13):
         for T in enumerate_trees(p):
-            if diameter(T.graph) < 4:
+            if diameter(T) < 4:
                 continue
             code = ahu_code(T)
             for _ in range(3):
@@ -502,21 +414,3 @@ def test_cube_root_agrees_with_oracle_on_perturbed_and_deleted_cubes():
                     assert ahu_code(r.tree) == ahu_code(want.tree)
                 checked[r.kind] += 1
     assert min(checked.values()) > 0 and sum(checked.values()) == 3_512
-
-
-def test_kth_order_terminal_cliques_peels_once(monkeypatch):
-    import treecube.cubes as cubes
-    import treecube.trees as trees
-    peel = trees.leaf_orders
-    calls = []
-
-    def counted(T):
-        calls.append(T)
-        return peel(T)
-
-    monkeypatch.setattr(trees, "leaf_orders", counted)
-    monkeypatch.setattr(cubes, "leaf_orders", counted, raising=False)
-    for k in range(3):
-        calls.clear()
-        assert len(kth_order_terminal_cliques(P(11), k)) == 2
-        assert len(calls) == 1

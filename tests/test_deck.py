@@ -26,7 +26,6 @@ from treecube.graphs import (
     power,
     star_graph,
 )
-from treecube.harness import endpoint_precision_counterexamples, internal_cube_cards
 from treecube.trees import Tree, enumerate_trees, leaves
 
 
@@ -104,7 +103,7 @@ def test_deck_check_prefilter_only_filters():
     S = deck(LabeledGraph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
     assert [c.size for c in deck(C6).cards] == [c.size for c in S.cards] == [4] * 6
     assert deck(C6) != S and not deck_check(C6, S)
-    cubes = [power(T.graph, 3) for p in range(1, 9) for T in enumerate_trees(p)]
+    cubes = [power(T, 3) for p in range(1, 9) for T in enumerate_trees(p)]
     decks = [deck(G) for G in cubes]
     for G, D in zip(cubes, decks):
         for H, S in zip(cubes, decks):
@@ -139,7 +138,7 @@ def test_reconstruct_examples():
     G = cube_of_path(6)
     report = reconstruct(deck(G))
     assert report.recognized and is_isomorphic(report.graph, G)
-    assert is_isomorphic(power(report.tree.graph, 3), G)
+    assert is_isomorphic(power(report.tree, 3), G)
     assert deck_check(report.graph, deck(G))
 
     report = reconstruct(deck(complete_graph(5)))
@@ -154,7 +153,7 @@ def test_reconstruct_uses_complete_card_roots_above_the_cap():
     # roots (the star and six double stars) are fed to reconstruction even
     # though 14 exceeds the default enumeration cap
     T = Tree(LabeledGraph(15, [(0, v) for v in range(1, 13)] + [(12, 13), (13, 14)]))
-    G = power(T.graph, 3)
+    G = power(T, 3)
     assert not is_complete(G) and is_complete(delete_vertex(G, 14))
     k14 = canonical_form(complete_graph(14))
     complete_cards = [sc for sc in select_cube_cards(deck(G)) if sc.card == k14]
@@ -173,16 +172,23 @@ def test_reconstruct_is_deterministic():
     a = reconstruct(deck(G))
     b = reconstruct(deck(G))
     assert canonical_form(a.graph) == canonical_form(b.graph)
-    assert a.tree.graph.edge_list() == b.tree.graph.edge_list()
+    assert a.tree.edge_list() == b.tree.edge_list()
     assert a.trace == b.trace
 
 
 def test_recognize_examples():
     for p in range(3, 8):
         for T in enumerate_trees(p):
-            assert recognize(deck(power(T.graph, 3)))
+            assert recognize(deck(power(T, 3)))
     assert not recognize(deck(cycle_graph(6)))
     assert recognize(deck(complete_graph(4)))  # K4 is the cube of the 4-star
+
+
+def _internal_cube_cards(T):
+    """Internal vertices of T whose cards of T's cube are themselves tree cubes."""
+    G = power(T, 3)
+    leaf_set = leaves(T)
+    return [v for v in range(T.p) if v not in leaf_set and is_tree_cube(delete_vertex(G, v))]
 
 
 def test_spurious_internal_cube_cards_are_harmless():
@@ -191,9 +197,9 @@ def test_spurious_internal_cube_cards_are_harmless():
     # therefore strictly larger than the endpoint card multiset, yet the
     # deck-verified pipeline still reconstructs the right graph.
     T = Tree(LabeledGraph(6, [(0, 1), (0, 2), (0, 5), (1, 3), (2, 4)]))
-    G = power(T.graph, 3)
+    G = power(T, 3)
     assert not is_complete(G)
-    assert internal_cube_cards(T) == [0, 1, 2]
+    assert _internal_cube_cards(T) == [0, 1, 2]
     sel = select_cube_cards(deck(G))
     assert len(sel) == 6 and len(leaves(T)) == 3
     report = reconstruct(deck(G))
@@ -201,9 +207,15 @@ def test_spurious_internal_cube_cards_are_harmless():
 
 
 def test_endpoint_precision_counterexamples_catalog():
-    hits = endpoint_precision_counterexamples(6)
-    assert [(T.graph.edge_list(), ivs) for T, ivs in hits] == [
-        ([(0, 1), (0, 2), (0, 5), (1, 3), (2, 4)], (0, 1, 2))]
+    # up to order 6, that spider is the only tree with a non-complete cube
+    # and an internal card that is a tree cube
+    hits = []
+    for p in range(3, 7):
+        for T in enumerate_trees(p):
+            cards = [] if is_complete(power(T, 3)) else _internal_cube_cards(T)
+            if cards:
+                hits.append((T.edge_list(), cards))
+    assert hits == [([(0, 1), (0, 2), (0, 5), (1, 3), (2, 4)], [0, 1, 2])]
 
 
 def test_deck_file_round_trip_edgelist_and_graph6():

@@ -32,7 +32,7 @@ def golden_inputs():
         for i, T in enumerate(enumerate_trees(p)):
             perm = list(range(p))
             rng.shuffle(perm)
-            for kind, G in (("tree", T.graph), ("cube", power(T.graph, 3))):
+            for kind, G in (("tree", T), ("cube", power(T, 3))):
                 yield {"p": p, "tree": i, "kind": kind, "relabeled": False}, G
                 yield {"p": p, "tree": i, "kind": kind, "relabeled": True}, relabel(G, perm)
 

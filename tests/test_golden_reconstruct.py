@@ -32,7 +32,7 @@ def golden_inputs():
         for T in enumerate_trees(p):
             perm = list(range(p))
             rng.shuffle(perm)
-            yield relabel(power(T.graph, 3), perm)
+            yield relabel(power(T, 3), perm)
     for p in range(3, 9):
         yield complete_graph(p)
     yield from recognition_negative_corpus(9)

@@ -30,7 +30,7 @@ def golden_inputs():
         for T in enumerate_trees(p):
             perm = list(range(p))
             rng.shuffle(perm)
-            yield relabel(power(T.graph, 3), perm)
+            yield relabel(power(T, 3), perm)
     for p in range(3, 13):
         yield complete_graph(p)
 

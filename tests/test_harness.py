@@ -142,7 +142,7 @@ def test_collide_finds_fourth_power_pair():
     result = collide(4, 5)
     want = {canonical_form(path_graph(5)), canonical_form(star_graph(5))}
     hits = [p for p in result.pairs
-            if {canonical_form(p.tree1.graph), canonical_form(p.tree2.graph)} == want]
+            if {canonical_form(p.tree1), canonical_form(p.tree2)} == want]
     assert len(hits) == 1 and hits[0].complete
     assert hits[0].power_certificate == canonical_form(complete_graph(5))
 
@@ -159,8 +159,8 @@ def test_collide_fourth_power_noncomplete_first_appears_at_order_8():
     assert len(found.pairs) == 4
     for pair in found.pairs:
         assert not pair.complete
-        assert canonical_form(power(pair.tree1.graph, 4)) == pair.power_certificate
-        assert canonical_form(pair.tree1.graph) != canonical_form(pair.tree2.graph)
+        assert canonical_form(power(pair.tree1, 4)) == pair.power_certificate
+        assert canonical_form(pair.tree1) != canonical_form(pair.tree2)
 
 
 def test_collide_validates_arguments():

@@ -85,7 +85,7 @@ def test_result_types_keep_the_surface_the_benchmark_reads():
     # build and read are pinned here
     import treecube
     tree = treecube.Tree(treecube.path_graph(5))
-    assert tree.p == 5 and tree.graph.edges == treecube.path_graph(5).edges
+    assert tree.p == 5 and tree.edges == treecube.path_graph(5).edges
     root = treecube.RootResult.unique(tree)
     assert root.kind.value == "unique" and root.roots == (tree,) and root.tree is tree
     report = treecube.ReconstructionReport(True, None, tree, ())

@@ -18,16 +18,12 @@ from treecube.graphs import (
 from treecube.trees import (
     Tree,
     ahu_code,
-    centers,
-    core_vertices,
     end_deleted,
     enumerate_trees,
     is_tree,
-    kth_order_terminal_edges,
     leaf_extensions,
     leaf_orders,
     leaves,
-    terminal_edges,
 )
 
 
@@ -63,9 +59,9 @@ def test_leaves_examples():
 
 
 def test_end_deleted_examples():
-    assert is_isomorphic(end_deleted(P(5)).graph, path_graph(3))
+    assert is_isomorphic(end_deleted(P(5)), path_graph(3))
     assert end_deleted(S(5)).p == 1
-    assert is_isomorphic(end_deleted(end_deleted(P(7))).graph, path_graph(3))
+    assert is_isomorphic(end_deleted(end_deleted(P(7))), path_graph(3))
     assert end_deleted(P(2)).p == 0
     assert end_deleted(P(1)).p == 0
 
@@ -74,8 +70,8 @@ def test_end_deleted_is_induced_complement_of_leaves():
     for p in range(1, 9):
         for T in enumerate_trees(p):
             keep = sorted(set(range(T.p)) - leaves(T))
-            sub, _ = induced_subgraph(T.graph, keep)
-            assert end_deleted(T).graph == sub
+            sub, _ = induced_subgraph(T, keep)
+            assert end_deleted(T) == sub
 
 
 def test_leaf_orders_examples():
@@ -92,6 +88,20 @@ def test_leaf_orders_refuses_a_cycle_instead_of_peeling_forever():
     # the cycle may hide behind pendant vertices that peel first
     with pytest.raises(NotATreeError):
         leaf_orders(LabeledGraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]))
+
+
+def test_leaf_orders_and_ahu_code_refuse_a_forest():
+    # a forest peels to the end, so only its edge count gives it away
+    forests = [
+        LabeledGraph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),  # two P3s
+        LabeledGraph(4, [(0, 1), (1, 2)]),  # P3 and an isolated vertex
+        LabeledGraph(2),  # two isolated vertices
+    ]
+    for F in forests:
+        with pytest.raises(NotATreeError, match="is a forest"):
+            leaf_orders(F)
+        with pytest.raises(NotATreeError, match="is a forest"):
+            ahu_code(F)
 
 
 def test_a_tree_is_its_own_graph():
@@ -116,31 +126,10 @@ def test_leaf_orders_partition_all_trees():
             assert 1 <= len(lo[-1]) <= 2
 
 
-def test_terminal_edges_examples():
-    assert terminal_edges(P(5)) == {(0, 1), (3, 4)}
-    assert kth_order_terminal_edges(P(7), 1) == {(1, 2), (4, 5)}
-    assert terminal_edges(S(5)) == {(0, 1), (0, 2), (0, 3), (0, 4)}
-    assert kth_order_terminal_edges(P(7), 0) == terminal_edges(P(7))
-    with pytest.raises(ValueError):
-        kth_order_terminal_edges(P(2), 1)
-
-
-def test_core_vertices():
-    assert core_vertices(P(7), 0) == set(range(7))
-    assert core_vertices(P(7), 2) == {2, 3, 4}
-    assert core_vertices(S(5), 1) == {0}
-
-
 def test_peripheral_vertices_are_leaves():
     for p in range(2, 10):
         for T in enumerate_trees(p):
-            assert peripheral_vertices(T.graph) <= leaves(T)
-
-
-def test_centers():
-    assert centers(P(7)) == {3}
-    assert centers(P(6)) == {2, 3}
-    assert centers(S(9)) == {0}
+            assert peripheral_vertices(T) <= leaves(T)
 
 
 # ── enumeration ───────────────────────────────────────────────────────
@@ -168,19 +157,19 @@ def test_enumeration_small_shapes():
 
 
 def test_enumeration_is_deterministic_and_nonisomorphic():
-    a = [t.graph.edge_list() for t in enumerate_trees(8)]
-    b = [t.graph.edge_list() for t in enumerate_trees(8)]
+    a = [t.edge_list() for t in enumerate_trees(8)]
+    b = [t.edge_list() for t in enumerate_trees(8)]
     assert a == b
-    certs = [canonical_form(t.graph) for t in enumerate_trees(8)]
+    certs = [canonical_form(t) for t in enumerate_trees(8)]
     assert len(set(certs)) == len(certs)
 
 
 def test_leaf_extensions_keep_the_first_tree_of_each_class():
     # P3 grows at vertex 0 (a P4), 1 (the star) and 2 (a second P4, dropped)
-    got = [T.graph.edge_list() for T in leaf_extensions([P(3)]).values()]
+    got = [T.edge_list() for T in leaf_extensions([P(3)]).values()]
     assert got == [[(0, 1), (0, 3), (1, 2)], [(0, 1), (1, 2), (1, 3)]]
     # classes repeated by later inputs are dropped too
-    assert [T.graph.edge_list() for T in leaf_extensions([P(3), P(3)]).values()] == got
+    assert [T.edge_list() for T in leaf_extensions([P(3), P(3)]).values()] == got
     assert list(leaf_extensions([])) == []
     for p in range(1, 9):
         ext = list(leaf_extensions(enumerate_trees(p)).values())
@@ -204,7 +193,7 @@ def test_random_prufer_trees_hit_exactly_one_representative():
     for _ in range(120):
         p = rng.randint(1, 8)
         G = random_prufer_tree(rng, p)
-        matches = [R for R in enumerate_trees(p) if is_isomorphic(G, R.graph)]
+        matches = [R for R in enumerate_trees(p) if is_isomorphic(G, R)]
         assert len(matches) == 1
 
 
@@ -214,7 +203,7 @@ def test_ahu_agreement_with_general_certificates():
     for p in range(1, 10):
         by_ahu = {}
         for T in enumerate_trees(p):
-            by_ahu[ahu_code(T)] = canonical_form(T.graph)
+            by_ahu[ahu_code(T)] = canonical_form(T)
         assert len(set(by_ahu.values())) == len(by_ahu)
     rng = random.Random(23)
     for _ in range(60):
