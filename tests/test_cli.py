@@ -205,6 +205,13 @@ def test_usage_error_exit_codes(tmp_path, capsys):
     assert "at least 3" in capsys.readouterr().err
 
 
+def test_a_worker_count_below_one_is_a_usage_error(capsys):
+    assert main(["verify", "thm31", "--max-order", "5", "--workers", "0"]) == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert main(["collide", "--n", "3", "--max-order", "5", "--workers", "-1"]) == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
+
+
 def test_stdin_input(tmp_path, capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(serialize_graph(path_graph(4))))

@@ -129,6 +129,72 @@ def test_worker_pool_is_capped_at_units_and_cores(monkeypatch):
     assert ctx.pool_sizes == [4, 4, 3, 3]
 
 
+def test_a_worker_count_below_one_is_rejected():
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            run_suite("thm31", 5, workers=workers)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            collide(3, 5, workers=workers)
+
+
+def _lemma24_pairs(max_order):
+    # the suite's (tree, leaf subset, leaf-deleted cube) triples, in its order
+    from treecube.graphs import delete_vertices
+    from treecube.trees import enumerate_trees, leaves
+    for p in range(1, max_order + 1):
+        for T in enumerate_trees(p):
+            G = power(T, 3)
+            leaf_list = sorted(leaves(T))
+            for mask in range(1 << len(leaf_list)):
+                subset = [leaf_list[i] for i in range(len(leaf_list)) if mask >> i & 1]
+                if len(subset) < T.p:
+                    yield T, subset, delete_vertices(G, subset)
+
+
+def test_lemma24_reports_every_pair_that_reaches_a_rejected_graph(monkeypatch):
+    # reject one labeled graph that many pairs from several trees reach and
+    # that has an isomorphic, differently labeled sibling among the reached
+    # graphs: each pair reaching it reports its own failure, in order, and a
+    # memo keyed on isomorphism class would wrongly fail the sibling's pairs
+    pairs = list(_lemma24_pairs(8))
+    reached: dict = {}
+    for T, _, H in pairs:
+        reached.setdefault(H, []).append(T)
+    classes: dict = {}
+    for H in reached:
+        classes.setdefault(canonical_form(H), []).append(H)
+    rejected, trees = max(
+        ((H, trees) for H, trees in reached.items() if len(classes[canonical_form(H)]) > 1),
+        key=lambda item: len(item[1]))
+    assert len({T.edges for T in trees}) > 1
+    real = harness.is_tree_cube
+    monkeypatch.setattr(harness, "is_tree_cube", lambda H: H != rejected and real(H))
+    expected = [{"tree": canonical_form(T).hex(), "deleted": subset}
+                for T, subset, H in pairs if not harness.is_tree_cube(H)]
+    assert len(expected) == len(trees) > 1
+    report = run_suite("lemma24", 8, workers=1)
+    assert report.checked == len(pairs) == 1028
+    assert list(report.failures) == expected
+
+
+def test_lemma24_answers_each_labeled_graph_once_per_run(monkeypatch):
+    # 1,028 (tree, subset) pairs at order 8 leave 75 distinct labeled graphs;
+    # a second run asks again, so no answer outlives its run
+    calls = []
+    real = harness.is_tree_cube
+
+    def counted(H):
+        calls.append(None)
+        return real(H)
+
+    monkeypatch.setattr(harness, "is_tree_cube", counted)
+    for _ in range(2):
+        calls.clear()
+        report = run_suite("lemma24", 8, workers=1)
+        assert report.passed and report.checked == 1028
+        assert len(calls) == 75
+
+
 def test_report_json_payload_is_stable():
     r1 = run_suite("lemma25", 7)
     r2 = run_suite("lemma25", 7)
