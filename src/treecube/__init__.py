@@ -52,7 +52,6 @@ from .graphs import (
     diameter,
     eccentricity,
     edge_span,
-    induced_subgraph,
     is_complete,
     is_connected,
     is_isomorphic,

@@ -1,4 +1,4 @@
-"""Simple undirected graphs: parsing, eccentricities, powers, edge spans, certificates.
+"""Simple undirected graphs: parsing, vertex deletion, powers, distances, certificates.
 
 Vertices are dense integers ``0..p-1``. Values are immutable after
 construction and safe to share across workers; every operation here is a pure
@@ -159,29 +159,31 @@ def relabel(G: LabeledGraph, perm: Iterable[int]) -> LabeledGraph:
     return LabeledGraph(G.p, [(perm[u], perm[v]) for u, v in G.edges])
 
 
-def induced_subgraph(G: LabeledGraph, vertices: Iterable[int]) -> tuple[LabeledGraph, list[int]]:
-    """Induced subgraph on the given vertices, densely relabeled.
-
-    Returns ``(H, old_ids)`` where ``old_ids[i]`` is the G-vertex that became
-    vertex ``i`` of H; the relabeling preserves the original order.
-    """
-    old_ids = sorted(set(vertices))
-    for v in old_ids:
-        G._check_vertex(v)
-    pos = {v: i for i, v in enumerate(old_ids)}
-    edges = [(pos[u], pos[v]) for u, v in G.edges if u in pos and v in pos]
-    return LabeledGraph(len(old_ids), edges), old_ids
+def _from_masks(adj: list[int]) -> LabeledGraph:
+    """The graph of symmetric loop-free adjacency masks, built without edge checks."""
+    G = LabeledGraph.__new__(LabeledGraph)
+    G.p, G._adj = len(adj), adj
+    # each edge once, from its lower end: keep the vertices above u
+    G.edges = frozenset((u, v) for u, a in enumerate(adj) for v in _kernels.bits(a & -(2 << u)))
+    return G
 
 
 def delete_vertex(G: LabeledGraph, v: int) -> LabeledGraph:
     """Vertex-deleted subgraph, densely relabeled (order-preserving)."""
-    G._check_vertex(v)
-    return induced_subgraph(G, (u for u in range(G.p) if u != v))[0]
+    return delete_vertices(G, (v,))
 
 
 def delete_vertices(G: LabeledGraph, vs: Iterable[int]) -> LabeledGraph:
-    drop = set(vs)
-    return induced_subgraph(G, (u for u in range(G.p) if u not in drop))[0]
+    """Subgraph without the vertices ``vs``, densely relabeled (order-preserving)."""
+    drop = sorted(set(vs))
+    for v in drop:
+        G._check_vertex(v)
+    # the run of kept vertices lo..hi-1 after the i-th dropped one moves down by i
+    runs = [(i, lo + 1, hi) for i, (lo, hi) in enumerate(zip([-1, *drop], [*drop, G.p]))
+            if lo + 1 < hi]
+    masks = [((1 << hi) - (1 << lo), i) for i, lo, hi in runs]
+    return _from_masks([sum((a & m) >> i for m, i in masks)
+                        for _, lo, hi in runs for a in G._adj[lo:hi]])
 
 
 # ── distances, powers, spans ──────────────────────────────────────────
@@ -200,11 +202,7 @@ def power(G: LabeledGraph, k: int) -> LabeledGraph:
     """k-th power: joins distinct vertices at distance between 1 and k."""
     if k < 1:
         raise ValueError("power index must be at least 1")
-    adj = G._adj
-    # each edge once, from its lower end: keep the vertices above u
-    edges = [(u, v) for u in range(G.p)
-             for v in _kernels.bits(_kernels.ball(adj, 1 << u, k) & -(2 << u))]
-    return LabeledGraph(G.p, edges)
+    return _from_masks([_kernels.ball(G._adj, 1 << u, k) ^ 1 << u for u in range(G.p)])
 
 
 def is_complete(G: LabeledGraph) -> bool:

@@ -138,11 +138,12 @@ def noncube_corpus(count: int, max_order: int, seed: int = NONCUBE_CORPUS_SEED) 
     """Fixed corpus of connected non-complete graphs that ``cube_root`` rejects.
 
     No canonical labeling or enumeration runs, so any order works; the
-    oracle-agreement suite cross-checks the rejections.
+    oracle-agreement suite cross-checks the rejections. Orders are drawn from
+    4 up, so below ``max_order`` 4 the corpus is empty.
     """
     rng = random.Random(seed)
     out = []
-    while len(out) < count:
+    while max_order >= 4 and len(out) < count:
         p = rng.randint(4, max_order)
         G = random_connected_graph(rng, p)
         if cube_root(G).kind is RootKind.NOT_A_CUBE:

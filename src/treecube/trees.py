@@ -13,7 +13,7 @@ from typing import Iterable
 
 from . import _kernels
 from .errors import EnumerationLimitError, NotATreeError
-from .graphs import LabeledGraph, induced_subgraph, is_connected
+from .graphs import LabeledGraph, delete_vertices, is_connected
 
 DEFAULT_MAX_ORDER = 12
 
@@ -57,9 +57,9 @@ def leaves(T: Tree) -> frozenset[int]:
 def end_deleted(T: Tree) -> Tree:
     """Induced subtree on the non-leaf vertices (densely relabeled).
 
-    Both P1 and P2 end-delete to the empty tree.
+    Both P1 and P2 end-delete to the empty tree, which end-deletes to itself.
     """
-    return Tree(induced_subgraph(T, frozenset().union(*leaf_orders(T)[1:]))[0])
+    return Tree(delete_vertices(T, leaf_orders(T)[0] if T.p else ()))
 
 
 def leaf_orders(T: Tree) -> tuple[frozenset[int], ...]:

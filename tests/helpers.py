@@ -31,6 +31,13 @@ def bfs_distances_oracle(G: LabeledGraph) -> list[list[int | None]]:
     return out
 
 
+def induced_subgraph_oracle(G: LabeledGraph, keep) -> LabeledGraph:
+    """Induced subgraph on ``keep``, relabeled in order, by filtering the edge set."""
+    pos = {v: i for i, v in enumerate(sorted(keep))}
+    return LabeledGraph(len(pos), [(pos[u], pos[v]) for u, v in G.edges
+                                   if u in pos and v in pos])
+
+
 def refuse_distance_matrix(monkeypatch) -> None:
     """Make any p x p distance-matrix build fail the test."""
     def refuse(*args):

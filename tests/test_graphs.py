@@ -9,6 +9,7 @@ from helpers import (
     all_free_trees_brute,
     bfs_distances_oracle,
     brute_force_isomorphic,
+    induced_subgraph_oracle,
     refuse_distance_matrix,
 )
 from treecube import _kernels
@@ -21,6 +22,7 @@ from treecube.graphs import (
     complete_graph,
     cycle_graph,
     delete_vertex,
+    delete_vertices,
     diameter,
     eccentricity,
     edge_span,
@@ -38,6 +40,7 @@ from treecube.graphs import (
     to_edgelist,
     to_graph6,
 )
+from treecube.trees import Tree
 
 
 @st.composite
@@ -333,3 +336,43 @@ def test_delete_vertex_relabels_densely():
     G = delete_vertex(path_graph(5), 2)
     assert G.p == 4 and G.edges == frozenset({(0, 1), (2, 3)})
     assert not is_connected(G)
+
+
+def test_delete_vertices_refuses_vertices_out_of_range():
+    G = path_graph(4)
+    for vs in ([99], [-1], [0, 4]):
+        with pytest.raises(ValueError, match="out of range"):
+            delete_vertices(G, vs)
+    with pytest.raises(ValueError, match="out of range"):
+        delete_vertex(G, 99)
+
+
+def test_delete_vertices_matches_an_edge_filter_on_every_subset():
+    rng = random.Random(7)
+    graphs = [LabeledGraph(0), LabeledGraph(3), path_graph(6), cycle_graph(7),
+              complete_graph(5), star_graph(6)]
+    graphs += [LabeledGraph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)
+                                if rng.random() < 0.4]) for _ in range(3)]
+    for G in graphs:
+        for mask in range(1 << G.p):
+            drop = [v for v in range(G.p) if mask >> v & 1]
+            # the vertices may come in any order and repeat
+            H = delete_vertices(G, drop[::-1] + drop)
+            want = induced_subgraph_oracle(G, set(range(G.p)) - set(drop))
+            assert H == want and hash(H) == hash(want) and H._adj == want._adj
+
+
+@settings(max_examples=60)
+@given(small_graphs(), st.integers(min_value=1, max_value=4))
+def test_mask_built_graphs_equal_checked_ones(G, k):
+    # memos and decks key derived graphs by equality, hash and masks
+    for H in (power(G, k), delete_vertex(G, 0), delete_vertices(G, range(0, G.p, 2))):
+        checked = LabeledGraph(H.p, H.edges)
+        assert H == checked and hash(H) == hash(checked) and H._adj == checked._adj
+
+
+def test_derived_graphs_of_a_tree_are_plain_graphs():
+    # a Tree is only ever made by Tree(...), which checks it
+    T = Tree(path_graph(5))
+    for H in (power(T, 3), delete_vertex(T, 0), delete_vertices(T, [0, 4])):
+        assert type(H) is LabeledGraph

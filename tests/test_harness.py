@@ -267,6 +267,19 @@ def test_recognition_negative_runs_above_the_enumeration_cap(monkeypatch, capsys
     assert "checked 61" in capsys.readouterr().out
 
 
+def test_noncube_suites_run_below_order_four():
+    # the random non-cubes start at order 4; below it they are simply absent
+    from treecube.cli import main
+    for n in (1, 2, 3):
+        assert noncube_corpus(5, n) == []
+        negative = run_suite("recognition-negative", n)
+        assert negative.passed and negative.checked == 0
+        agreement = run_suite("oracle-agreement", n)
+        assert agreement.passed and agreement.checked == n
+        for suite in ("recognition-negative", "oracle-agreement"):
+            assert main(["verify", suite, "--max-order", str(n)]) == 0
+
+
 def test_recognition_corpus_contents():
     corpus = recognition_negative_corpus(8)
     assert len(corpus) == 5 + 1 + 50  # C4..C8, K33, 50 random

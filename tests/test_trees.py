@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from helpers import all_free_trees_brute, random_prufer_tree
+from helpers import all_free_trees_brute, induced_subgraph_oracle, random_prufer_tree
 from treecube.errors import EnumerationLimitError, NotATreeError
 from treecube.graphs import (
     LabeledGraph,
     canonical_form,
     cycle_graph,
-    induced_subgraph,
     is_isomorphic,
     path_graph,
     peripheral_vertices,
@@ -64,14 +63,13 @@ def test_end_deleted_examples():
     assert is_isomorphic(end_deleted(end_deleted(P(7))), path_graph(3))
     assert end_deleted(P(2)).p == 0
     assert end_deleted(P(1)).p == 0
+    assert end_deleted(Tree(LabeledGraph(0))).p == 0
 
 
 def test_end_deleted_is_induced_complement_of_leaves():
     for p in range(1, 9):
         for T in enumerate_trees(p):
-            keep = sorted(set(range(T.p)) - leaves(T))
-            sub, _ = induced_subgraph(T, keep)
-            assert end_deleted(T) == sub
+            assert end_deleted(T) == induced_subgraph_oracle(T, set(range(T.p)) - leaves(T))
 
 
 def test_leaf_orders_examples():
