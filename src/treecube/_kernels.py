@@ -70,17 +70,16 @@ def bits(mask: int) -> list[int]:
 def _refine(p: int, adj: list[int], colors: list[int]) -> list[int]:
     # 1-D color refinement to a stable equitable partition. New color ids are
     # ranks of (old color, neighbor color counts), so the result depends only
-    # on the isomorphism class of the colored graph.
+    # on the isomorphism class of the colored graph. A vertex counts its
+    # neighbors of each color by a popcount against that color's mask.
     while True:
-        k = max(colors) + 1
-        sigs = []
+        cells = [0] * (max(colors) + 1)
         for v in range(p):
-            counts = [0] * k
-            for u in bits(adj[v]):
-                counts[colors[u]] += 1
-            sigs.append((colors[v], tuple(counts)))
+            cells[colors[v]] |= 1 << v
+        sigs = [(colors[v], tuple([(a & cell).bit_count() for cell in cells]))
+                for v, a in enumerate(adj)]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[sigs[v]] for v in range(p)]
+        new = [rank[s] for s in sigs]
         if new == colors:
             return colors
         colors = new

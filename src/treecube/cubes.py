@@ -210,7 +210,7 @@ def _is_labeled_cube(G: LabeledGraph, T: Tree, vertex_map: tuple[int, ...]) -> b
     if sorted(vertex_map) != list(range(G.p)):
         return False
     cube = power(T, 3)
-    if len(cube.edges) != len(G.edges):
+    if cube.size != G.size:
         return False
     adj = G._adj
     return all(adj[vertex_map[u]] >> vertex_map[v] & 1 for u, v in cube.edges)

@@ -74,7 +74,8 @@ def deck_check(G: LabeledGraph, S: Deck) -> bool:
     card sizes (Kelly 1957): a G whose sizes differ from S's is rejected
     with no canonical labeling, and no G with deck S can be.
     """
-    sizes = sorted(len(G.edges) - a.bit_count() for a in G._adj)
+    m = G.size
+    sizes = sorted(m - a.bit_count() for a in G._adj)
     if sizes != sorted(card.size for card in S.cards):
         return False
     return deck(G) == S

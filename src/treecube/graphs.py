@@ -1,6 +1,9 @@
 """Simple undirected graphs: parsing, vertex deletion, powers, distances, certificates.
 
-Vertices are dense integers ``0..p-1``. Values are immutable after
+Vertices are dense integers ``0..p-1``. A graph is its adjacency masks:
+``size`` counts edges from them, and the ``edges`` set is derived from them on
+first read. ``LabeledGraph(p, edges)`` checks outside input; powers and
+deletions are built from masks directly. Values are immutable after
 construction and safe to share across workers; every operation here is a pure
 function.
 """
@@ -8,6 +11,7 @@ function.
 from __future__ import annotations
 
 import struct
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -17,34 +21,40 @@ from .errors import DisconnectedError, GraphParseError
 Edge = tuple[int, int]
 
 
-def _norm_edge(e: Iterable[int]) -> Edge:
-    u, v = e
-    return (u, v) if u < v else (v, u)
-
-
 class LabeledGraph:
-    """Simple undirected graph on vertices 0..p-1 (no loops, no multi-edges)."""
+    """Simple undirected graph on vertices 0..p-1 (no loops, no multi-edges).
 
-    __slots__ = ("p", "edges", "_adj")
+    Bit ``v`` of ``_adj[u]`` is set iff ``u`` and ``v`` are adjacent.
+    """
+
+    __slots__ = ("p", "_adj", "_edges")
 
     def __init__(self, p: int, edges: Iterable[Iterable[int]] = ()):
         if p < 0:
             raise ValueError("vertex count must be non-negative")
-        norm = set()
         adj = [0] * p
-        for e in edges:
-            u, v = e
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < p and 0 <= v < p):
                 raise ValueError(f"edge ({u}, {v}) out of range for p={p}")
-            norm.add((u, v) if u < v else (v, u))
-        for u, v in norm:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self.p = p
-        self.edges = frozenset(norm)
-        self._adj = adj
+        self.p, self._adj, self._edges = p, adj, None
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The edges as pairs ``(u, v)`` with ``u < v``, derived once from the masks."""
+        if self._edges is None:
+            # each edge once, from its lower end: keep the vertices above u
+            self._edges = frozenset((u, v) for u, a in enumerate(self._adj)
+                                    for v in _kernels.bits(a & -(2 << u)))
+        return self._edges
+
+    @property
+    def size(self) -> int:
+        """Edge count: half the degree sum."""
+        return sum(a.bit_count() for a in self._adj) >> 1
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
@@ -67,18 +77,18 @@ class LabeledGraph:
             raise ValueError(f"vertex {v} out of range for p={self.p}")
 
     def _check_edge(self, e: Iterable[int]) -> Edge:
-        e = _norm_edge(e)
-        if e not in self.edges:
-            raise ValueError(f"edge {e} not present in the graph")
-        return e
+        u, v = sorted(e)
+        if not (0 <= u and v < self.p and self._adj[u] >> v & 1):
+            raise ValueError(f"edge {(u, v)} not present in the graph")
+        return u, v
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledGraph):
             return NotImplemented
-        return self.p == other.p and self.edges == other.edges
+        return self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.p, self.edges))
+        return hash(tuple(self._adj))
 
     def __repr__(self) -> str:
         return f"LabeledGraph(p={self.p}, edges={self.edge_list()})"
@@ -162,9 +172,7 @@ def relabel(G: LabeledGraph, perm: Iterable[int]) -> LabeledGraph:
 def _from_masks(adj: list[int]) -> LabeledGraph:
     """The graph of symmetric loop-free adjacency masks, built without edge checks."""
     G = LabeledGraph.__new__(LabeledGraph)
-    G.p, G._adj = len(adj), adj
-    # each edge once, from its lower end: keep the vertices above u
-    G.edges = frozenset((u, v) for u, a in enumerate(adj) for v in _kernels.bits(a & -(2 << u)))
+    G.p, G._adj, G._edges = len(adj), adj, None
     return G
 
 
@@ -182,7 +190,11 @@ def delete_vertices(G: LabeledGraph, vs: Iterable[int]) -> LabeledGraph:
     runs = [(i, lo + 1, hi) for i, (lo, hi) in enumerate(zip([-1, *drop], [*drop, G.p]))
             if lo + 1 < hi]
     masks = [((1 << hi) - (1 << lo), i) for i, lo, hi in runs]
-    return _from_masks([sum((a & m) >> i for m, i in masks)
+    # A row pays min(runs, degree): one with no more neighbors than there are
+    # runs moves bit by bit, each kept vertex down by the dropped ones below it.
+    keep = sum(m for m, _ in masks)
+    return _from_masks([sum([1 << u - bisect(drop, u) for u in _kernels.bits(a & keep)])
+                        if a.bit_count() <= len(masks) else sum([(a & m) >> i for m, i in masks])
                         for _, lo, hi in runs for a in G._adj[lo:hi]])
 
 
@@ -193,7 +205,7 @@ def is_connected(G: LabeledGraph) -> bool:
     if G.p <= 1:
         return True
     # fewer than p - 1 edges cannot connect p vertices
-    if len(G.edges) < G.p - 1:
+    if G.size < G.p - 1:
         return False
     return _kernels.ball(G._adj, 1, G.p) == (1 << G.p) - 1
 
@@ -206,7 +218,7 @@ def power(G: LabeledGraph, k: int) -> LabeledGraph:
 
 
 def is_complete(G: LabeledGraph) -> bool:
-    return len(G.edges) == G.p * (G.p - 1) // 2
+    return G.size == G.p * (G.p - 1) // 2
 
 
 def eccentricity(G: LabeledGraph, v: int) -> int:
@@ -264,9 +276,9 @@ def is_isomorphic(G: LabeledGraph, H: LabeledGraph) -> bool:
 
 def isomorphism(G: LabeledGraph, H: LabeledGraph) -> dict[int, int] | None:
     """An explicit edge-preserving bijection G -> H, or None."""
-    if G.p != H.p or len(G.edges) != len(H.edges):
+    if G.p != H.p or G.size != H.size:
         return None
-    if G.edges == H.edges:
+    if G._adj == H._adj:
         return {v: v for v in range(G.p)}
     (cert_g, pg), (cert_h, ph) = _canonical(G), _canonical(H)
     if cert_g != cert_h:

@@ -2,7 +2,8 @@
 
 The enumeration of free trees (one representative per isomorphism class, in a
 deterministic order) is the brute-force substrate used by the oracles and the
-verification sweeps.
+verification sweeps. It grows trees by a leaf on their adjacency masks and
+checks one candidate per class, the one it keeps, as a ``Tree``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterable
 
 from . import _kernels
 from .errors import EnumerationLimitError, NotATreeError
-from .graphs import LabeledGraph, delete_vertices, is_connected
+from .graphs import LabeledGraph, _from_masks, delete_vertices, is_connected
 
 DEFAULT_MAX_ORDER = 12
 
@@ -25,9 +26,9 @@ class Tree(LabeledGraph):
 
     def __init__(self, graph: LabeledGraph):
         if not is_tree(graph):
-            raise NotATreeError(f"graph with p={graph.p}, m={len(graph.edges)} is not a tree")
-        # share the checked graph's state instead of rebuilding it
-        self.p, self.edges, self._adj = graph.p, graph.edges, graph._adj
+            raise NotATreeError(f"graph with p={graph.p}, m={graph.size} is not a tree")
+        # share the checked graph's masks and edge cache instead of rebuilding them
+        self.p, self._adj, self._edges = graph.p, graph._adj, graph._edges
 
     @property
     def graph(self) -> "Tree":
@@ -40,9 +41,7 @@ class Tree(LabeledGraph):
 
 def is_tree(G: LabeledGraph) -> bool:
     """Connected with exactly p-1 edges; the empty graph counts as a tree."""
-    if G.p == 0:
-        return not G.edges
-    return len(G.edges) == G.p - 1 and is_connected(G)
+    return G.p == 0 or G.size == G.p - 1 and is_connected(G)
 
 
 def leaves(T: Tree) -> frozenset[int]:
@@ -72,20 +71,21 @@ def leaf_orders(T: Tree) -> tuple[frozenset[int], ...]:
     """
     adj = T._adj
     deg = [a.bit_count() for a in adj]
+    m = sum(deg) >> 1
     alive = set(range(T.p))
     orders = []
     while alive:
         layer = frozenset(v for v in alive if deg[v] <= 1)
         if not layer:
-            raise NotATreeError(f"graph with p={T.p}, m={len(T.edges)} has a cycle")
+            raise NotATreeError(f"graph with p={T.p}, m={m} has a cycle")
         orders.append(layer)
         for v in layer:
             alive.discard(v)
             for u in _kernels.bits(adj[v]):
                 if u in alive:
                     deg[u] -= 1
-    if T.p and len(T.edges) != T.p - 1:
-        raise NotATreeError(f"graph with p={T.p}, m={len(T.edges)} is a forest")
+    if T.p and m != T.p - 1:
+        raise NotATreeError(f"graph with p={T.p}, m={m} is a forest")
     return tuple(orders)
 
 
@@ -130,15 +130,18 @@ def leaf_extensions(trees: Iterable[Tree]) -> dict[str, Tree]:
 
     Trees are extended in input order, attaching to vertex 0, 1, ... in turn.
     Returns the first tree generated in each isomorphism class, keyed by its
-    AHU code, in generation order.
+    AHU code, in generation order. Each candidate is built from the tree's
+    masks; only the first of its class is checked by ``Tree``.
     """
     out: dict[str, Tree] = {}
     for small in trees:
-        p = small.p + 1
-        base = list(small.edges)
         for attach in range(small.p):
-            cand = Tree(LabeledGraph(p, base + [(attach, p - 1)]))
-            out.setdefault(ahu_code(cand), cand)
+            adj = [*small._adj, 1 << attach]
+            adj[attach] |= 1 << small.p
+            cand = _from_masks(adj)
+            code = ahu_code(cand)
+            if code not in out:
+                out[code] = Tree(cand)
     return out
 
 

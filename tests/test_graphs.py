@@ -12,12 +12,14 @@ from helpers import (
     induced_subgraph_oracle,
     refuse_distance_matrix,
 )
+from test_kernels import CORPUS
 from treecube import _kernels
 from treecube.errors import DisconnectedError, GraphParseError
 from treecube.graphs import (
     MAX_EDGELIST_ORDER,
     CanonicalForm,
     LabeledGraph,
+    _from_masks,
     canonical_form,
     complete_graph,
     cycle_graph,
@@ -40,7 +42,7 @@ from treecube.graphs import (
     to_edgelist,
     to_graph6,
 )
-from treecube.trees import Tree
+from treecube.trees import Tree, is_tree, leaf_extensions
 
 
 @st.composite
@@ -369,6 +371,19 @@ def test_mask_built_graphs_equal_checked_ones(G, k):
     for H in (power(G, k), delete_vertex(G, 0), delete_vertices(G, range(0, G.p, 2))):
         checked = LabeledGraph(H.p, H.edges)
         assert H == checked and hash(H) == hash(checked) and H._adj == checked._adj
+
+
+def test_size_counts_the_edges_of_built_and_derived_graphs():
+    for p, edges in CORPUS:
+        G = LabeledGraph(p, edges)
+        # fresh graphs on both sides: neither has derived its edge set yet
+        want = frozenset(tuple(sorted(e)) for e in edges)
+        assert _from_masks(list(G._adj)).edges == LabeledGraph(p, edges).edges == want
+        derived = [G, power(G, 2), power(G, 3), *(delete_vertex(G, v) for v in range(p))]
+        if is_tree(G):
+            derived += leaf_extensions([Tree(G)]).values()
+        for H in derived:
+            assert H.size == len(H.edges)
 
 
 def test_derived_graphs_of_a_tree_are_plain_graphs():

@@ -161,6 +161,37 @@ def test_canonical_bits_equal_across_relabelings():
             assert got == want, name
 
 
+def refine_by_bits(p, adj, colors):
+    """Color refinement that counts each vertex's neighbor colors one bit at a time."""
+    while True:
+        sigs = []
+        for v in range(p):
+            counts = [0] * (max(colors) + 1)
+            for u in range(p):
+                if adj[v] >> u & 1:
+                    counts[colors[u]] += 1
+            sigs.append((colors[v], tuple(counts)))
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [rank[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def test_refine_matches_a_per_bit_count():
+    for p, edges in CORPUS:
+        if p == 0:
+            continue
+        a = adj_masks(p, edges)
+        stable = _kernels._refine(p, a, [0] * p)
+        assert stable == refine_by_bits(p, a, [0] * p)
+        # individualize one vertex, as the search does when it branches
+        for v in range(p):
+            colors = list(stable)
+            colors[v] = max(stable) + 1
+            assert _kernels._refine(p, a, list(colors)) == refine_by_bits(p, a, colors)
+
+
 def binary_tree(depth):
     p = 2 ** (depth + 1) - 1
     return p, [((v - 1) // 2, v) for v in range(1, p)]

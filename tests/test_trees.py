@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from treecube import trees
 from helpers import all_free_trees_brute, induced_subgraph_oracle, random_prufer_tree
 from treecube.errors import EnumerationLimitError, NotATreeError
 from treecube.graphs import (
@@ -172,6 +173,18 @@ def test_leaf_extensions_keep_the_first_tree_of_each_class():
     for p in range(1, 9):
         ext = list(leaf_extensions(enumerate_trees(p)).values())
         assert sorted(map(ahu_code, ext)) == sorted(map(ahu_code, enumerate_trees(p + 1)))
+
+
+def test_enumeration_checks_one_tree_per_class(monkeypatch):
+    # candidates are built on masks; only the tree kept for a class is checked
+    trees._tree_reps.cache_clear()
+    enumerate_trees(1)
+    checked = []
+    real = trees.is_tree
+    monkeypatch.setattr(trees, "is_tree", lambda G: checked.append(G.p) or real(G))
+    counts = [len(enumerate_trees(p)) for p in range(2, 11)]
+    assert [checked.count(p) for p in range(2, 11)] == counts
+    assert len(checked) == sum(counts) == 200
 
 
 def test_enumeration_rejects_out_of_range(monkeypatch):
