@@ -70,16 +70,15 @@ def bits(mask: int) -> list[int]:
 def _refine(p: int, adj: list[int], colors: list[int]) -> list[int]:
     # 1-D color refinement to a stable equitable partition. New color ids are
     # ranks of (old color, neighbor color counts), so the result depends only
-    # on the isomorphism class of the colored graph. A vertex counts its
-    # neighbors of each color by a popcount against that color's mask.
+    # on the isomorphism class of the colored graph. Each color's neighbors are
+    # counted by a popcount against its mask; the counts follow the old color.
     while True:
         cells = [0] * (max(colors) + 1)
         for v in range(p):
             cells[colors[v]] |= 1 << v
-        sigs = [(colors[v], tuple([(a & cell).bit_count() for cell in cells]))
-                for v, a in enumerate(adj)]
+        sigs = list(zip(colors, *[map(int.bit_count, map(cell.__and__, adj)) for cell in cells]))
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
+        new = list(map(rank.__getitem__, sigs))
         if new == colors:
             return colors
         colors = new

@@ -54,7 +54,7 @@ class LabeledGraph:
     @property
     def size(self) -> int:
         """Edge count: half the degree sum."""
-        return sum(a.bit_count() for a in self._adj) >> 1
+        return sum(map(int.bit_count, self._adj)) >> 1
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)

@@ -65,25 +65,28 @@ def leaf_orders(T: Tree) -> tuple[frozenset[int], ...]:
     """The layers L_0, L_1, ...: L_i holds the leaves of the i-times end-deleted tree.
 
     This is the one place a tree is peeled; every end-deletion notion derives
-    from these layers. A round with no vertex of degree at most 1 means a
-    cycle, which would never peel, so it raises ``NotATreeError``; so does a
-    forest, which peels but is acyclic with fewer than p - 1 edges.
+    from these layers. Each layer is found from the last one's neighbors, so
+    peeling costs one pass over the edges. A cycle never peels, so vertices
+    left over raise ``NotATreeError``; so does a forest, which peels but is
+    acyclic with fewer than p - 1 edges.
     """
     adj = T._adj
     deg = [a.bit_count() for a in adj]
     m = sum(deg) >> 1
-    alive = set(range(T.p))
+    layer = [v for v in range(T.p) if deg[v] <= 1]
     orders = []
-    while alive:
-        layer = frozenset(v for v in alive if deg[v] <= 1)
-        if not layer:
-            raise NotATreeError(f"graph with p={T.p}, m={m} has a cycle")
-        orders.append(layer)
+    while layer:
+        orders.append(frozenset(layer))
+        # the next layer: the vertices this one brings down to one neighbor
+        nxt = []
         for v in layer:
-            alive.discard(v)
             for u in _kernels.bits(adj[v]):
-                if u in alive:
-                    deg[u] -= 1
+                deg[u] -= 1
+                if deg[u] == 1:
+                    nxt.append(u)
+        layer = nxt
+    if sum(map(len, orders)) < T.p:
+        raise NotATreeError(f"graph with p={T.p}, m={m} has a cycle")
     if T.p and m != T.p - 1:
         raise NotATreeError(f"graph with p={T.p}, m={m} is a forest")
     return tuple(orders)
