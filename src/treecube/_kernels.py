@@ -70,13 +70,16 @@ def bits(mask: int) -> list[int]:
 def _refine(p: int, adj: list[int], colors: list[int]) -> list[int]:
     # 1-D color refinement to a stable equitable partition. New color ids are
     # ranks of (old color, neighbor color counts), so the result depends only
-    # on the isomorphism class of the colored graph. Each color's neighbors are
-    # counted by a popcount against its mask; the counts follow the old color.
+    # on the isomorphism class of the colored graph. A cell's counts are one
+    # popcount per vertex, and a cell that did not split keeps its counts.
+    counts: dict[int, list[int]] = {}
     while True:
         cells = [0] * (max(colors) + 1)
         for v in range(p):
             cells[colors[v]] |= 1 << v
-        sigs = list(zip(colors, *[map(int.bit_count, map(cell.__and__, adj)) for cell in cells]))
+        counts = {cell: counts[cell] if cell in counts
+                  else list(map(int.bit_count, map(cell.__and__, adj))) for cell in cells}
+        sigs = list(zip(colors, *counts.values()))
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = list(map(rank.__getitem__, sigs))
         if new == colors:

@@ -1,17 +1,15 @@
 """Simple undirected graphs: parsing, vertex deletion, powers, distances, certificates.
 
 Vertices are dense integers ``0..p-1``. A graph is its adjacency masks:
-``size`` counts edges from them, and the ``edges`` set is derived from them on
-first read. ``LabeledGraph(p, edges)`` checks outside input; powers and
-deletions are built from masks directly. Values are immutable after
-construction and safe to share across workers; every operation here is a pure
-function.
+``size`` counts edges from them and ``edges`` is derived on first read.
+``LabeledGraph(p, edges)`` checks outside input; powers and deletions are built
+from masks. Values are immutable after construction and safe to share across
+workers; every operation here is a pure function.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -22,10 +20,7 @@ Edge = tuple[int, int]
 
 
 class LabeledGraph:
-    """Simple undirected graph on vertices 0..p-1 (no loops, no multi-edges).
-
-    Bit ``v`` of ``_adj[u]`` is set iff ``u`` and ``v`` are adjacent.
-    """
+    """Simple undirected graph on 0..p-1: bit v of ``_adj[u]`` is set iff u, v are adjacent."""
 
     __slots__ = ("p", "_adj", "_edges")
 
@@ -183,19 +178,24 @@ def delete_vertex(G: LabeledGraph, v: int) -> LabeledGraph:
 
 def delete_vertices(G: LabeledGraph, vs: Iterable[int]) -> LabeledGraph:
     """Subgraph without the vertices ``vs``, densely relabeled (order-preserving)."""
-    drop = sorted(set(vs))
-    for v in drop:
+    drop = set(vs)
+    for v in sorted(drop):
         G._check_vertex(v)
-    # the run of kept vertices lo..hi-1 after the i-th dropped one moves down by i
-    runs = [(i, lo + 1, hi) for i, (lo, hi) in enumerate(zip([-1, *drop], [*drop, G.p]))
-            if lo + 1 < hi]
-    masks = [((1 << hi) - (1 << lo), i) for i, lo, hi in runs]
-    # A row pays min(runs, degree): one with no more neighbors than there are
-    # runs moves bit by bit, each kept vertex down by the dropped ones below it.
-    keep = sum(m for m, _ in masks)
-    return _from_masks([sum([1 << u - bisect(drop, u) for u in _kernels.bits(a & keep)])
-                        if a.bit_count() <= len(masks) else sum([(a & m) >> i for m, i in masks])
-                        for _, lo, hi in runs for a in G._adj[lo:hi]])
+    keep = [v for v in range(G.p) if v not in drop]
+    # the i-th kept vertex becomes bit i and a dropped one no bit; each kept row
+    # is remapped bit by bit, in time linear in its degree however the drops lie
+    bit = [0] * G.p
+    for i, v in enumerate(keep):
+        bit[v] = 1 << i
+    masks = []
+    for v in keep:
+        a, m = G._adj[v], 0
+        while a:
+            low = a & -a
+            m |= bit[low.bit_length() - 1]
+            a ^= low
+        masks.append(m)
+    return _from_masks(masks)
 
 
 # ── distances, powers, spans ──────────────────────────────────────────

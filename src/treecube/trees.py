@@ -46,8 +46,6 @@ def is_tree(G: LabeledGraph) -> bool:
 
 def leaves(T: Tree) -> frozenset[int]:
     """Degree-1 vertices; the sole vertex of a 1-vertex tree counts as a leaf."""
-    if T.p == 0:
-        return frozenset()
     if T.p == 1:
         return frozenset({0})
     return frozenset(v for v in range(T.p) if T.degree(v) == 1)

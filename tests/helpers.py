@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from itertools import permutations
@@ -119,3 +120,37 @@ def all_free_trees_brute(p: int) -> list[LabeledGraph]:
         if not any(brute_force_isomorphic(G, R) for R in reps):
             reps.append(G)
     return reps
+
+
+def symmetric_corpus():
+    """Vertex-transitive graphs, as (name, p, edges)."""
+    petersen = [(i, (i + 1) % 5) for i in range(5)]
+    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)] + [(i, 5 + i) for i in range(5)]
+    q4 = [(u, u ^ 1 << b) for u in range(16) for b in range(4) if u < u ^ 1 << b]
+    k55 = [(i, 5 + j) for i in range(5) for j in range(5)]
+    c15 = [(i, (i + 1) % 15) for i in range(15)]
+    triangles = [(3 * i + a, 3 * i + b) for i in range(4) for a, b in ((0, 1), (1, 2), (0, 2))]
+    return [("petersen", 10, petersen), ("Q4", 16, q4), ("K5,5", 10, k55),
+            ("C15", 15, c15), ("4K3", 12, triangles)]
+
+
+def corpus():
+    """The kernel corpus, as (p, edges): symmetric graphs, paths, cycles, stars,
+    complete graphs and seeded random graphs."""
+    rng = random.Random(101)
+    out = [(p, edges) for _, p, edges in symmetric_corpus()]
+    for p in range(0, 12):
+        path = [(i, i + 1) for i in range(p - 1)]
+        out.append((p, path))
+        if p >= 3:
+            out.append((p, path + [(0, p - 1)]))
+            out.append((p, [(0, i) for i in range(1, p)]))
+            out.append((p, [(u, v) for u in range(p) for v in range(u + 1, p)]))
+    for _ in range(80):
+        p = rng.randint(1, 13)
+        edges = [e for e in itertools.combinations(range(p), 2) if rng.random() < 0.4]
+        out.append((p, edges))
+    return out
+
+
+CORPUS = corpus()

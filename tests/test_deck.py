@@ -1,6 +1,6 @@
 import pytest
 
-from test_kernels import CORPUS
+from helpers import CORPUS
 from treecube import _kernels
 from treecube.cubes import is_tree_cube
 from treecube.deck import (

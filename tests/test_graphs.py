@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    CORPUS,
     all_free_trees_brute,
     bfs_distances_oracle,
     brute_force_isomorphic,
     induced_subgraph_oracle,
     refuse_distance_matrix,
 )
-from test_kernels import CORPUS
 from treecube import _kernels
 from treecube.errors import DisconnectedError, GraphParseError
 from treecube.graphs import (
