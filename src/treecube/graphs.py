@@ -178,23 +178,23 @@ def delete_vertex(G: LabeledGraph, v: int) -> LabeledGraph:
 
 def delete_vertices(G: LabeledGraph, vs: Iterable[int]) -> LabeledGraph:
     """Subgraph without the vertices ``vs``, densely relabeled (order-preserving)."""
-    drop = set(vs)
-    for v in sorted(drop):
+    drop = sorted(set(vs))
+    for v in drop:
         G._check_vertex(v)
-    keep = [v for v in range(G.p) if v not in drop]
-    # the i-th kept vertex becomes bit i and a dropped one no bit; each kept row
-    # is remapped bit by bit, in time linear in its degree however the drops lie
-    bit = [0] * G.p
-    for i, v in enumerate(keep):
-        bit[v] = 1 << i
+    keep = (1 << G.p) - 1 - sum(1 << v for v in drop)
+    # the run after the i-th dropped vertex moves down by i; a row pays one step per run it meets
+    run: list[tuple[int, int] | None] = [None] * G.p
+    for i, (lo, hi) in enumerate(zip([-1, *drop], [*drop, G.p])):
+        run[lo + 1:hi] = [((1 << hi) - (1 << lo + 1), i)] * (hi - lo - 1)
     masks = []
-    for v in keep:
-        a, m = G._adj[v], 0
-        while a:
-            low = a & -a
-            m |= bit[low.bit_length() - 1]
-            a ^= low
-        masks.append(m)
+    for a, r in zip(G._adj, run):
+        if r is not None:
+            a, out = a & keep, 0
+            while a:
+                m, i = run[(a & -a).bit_length() - 1]
+                out |= (a & m) >> i
+                a &= ~m
+            masks.append(out)
     return _from_masks(masks)
 
 
