@@ -67,11 +67,13 @@ def bits(mask: int) -> list[int]:
     return out
 
 
-def _refine(p: int, adj: list[int], colors: list[int]) -> list[int]:
-    # 1-D color refinement to a stable equitable partition. New color ids are
-    # ranks of (old color, neighbor color counts), so the result depends only
-    # on the isomorphism class of the colored graph. A cell's counts are one
-    # popcount per vertex, and a cell that did not split keeps its counts.
+def _refine(p: int, adj: list[int], colors: list[int]) -> tuple[list[int], list[int]]:
+    # 1-D color refinement to a stable equitable partition, returned as the
+    # colors and each color's cell as a vertex mask, in color order. New color
+    # ids are ranks of (old color, neighbor color counts), so the result
+    # depends only on the isomorphism class of the colored graph. A cell's
+    # counts are one popcount per vertex, and a cell that did not split keeps
+    # its counts.
     counts: dict[int, list[int]] = {}
     while True:
         cells = [0] * (max(colors) + 1)
@@ -83,34 +85,20 @@ def _refine(p: int, adj: list[int], colors: list[int]) -> list[int]:
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = list(map(rank.__getitem__, sigs))
         if new == colors:
-            return colors
+            return colors, cells
         colors = new
 
 
-def _cells_of(p: int, colors: list[int]) -> list[list[int]]:
-    ncolors = max(colors) + 1 if p else 0
-    cells: list[list[int]] = [[] for _ in range(ncolors)]
-    for v in range(p):
-        cells[colors[v]].append(v)
-    return cells
-
-
-def _is_homogeneous(adj: list[int], cells: list[list[int]]) -> bool:
+def _is_homogeneous(adj: list[int], cells: list[int]) -> bool:
     # A stable partition is homogeneous when every within-cell graph is
     # complete or empty and every cross-cell bipartite graph is complete or
-    # empty; then any cell-respecting bijection is an automorphism.
-    masks = [0] * len(cells)
-    for c, members in enumerate(cells):
-        m = 0
-        for v in members:
-            m |= 1 << v
-        masks[c] = m
-    for c, members in enumerate(cells):
-        v0 = members[0]
-        for c2, members2 in enumerate(cells):
-            cnt = (adj[v0] & masks[c2]).bit_count()
-            full = len(members2) - 1 if c2 == c else len(members2)
-            if cnt != 0 and cnt != full:
+    # empty; then any cell-respecting bijection is an automorphism. Cells are
+    # disjoint masks, and a vertex is not its own neighbor.
+    for cell in cells:
+        nbrs = adj[(cell & -cell).bit_length() - 1]
+        for other in cells:
+            cnt = (nbrs & other).bit_count()
+            if cnt and cnt != other.bit_count() - (other == cell):
                 return False
     return True
 
@@ -186,15 +174,14 @@ def _leaf(code: bytes, perm: list[int], path: list[int], st: _Search) -> int | N
 
 def _canon_search(p: int, adj: list[int], colors: list[int],
                   path: list[int], st: _Search) -> int | None:
-    colors = _refine(p, adj, colors)
-    cells = _cells_of(p, colors)
-    if all(len(c) == 1 for c in cells) or _is_homogeneous(adj, cells):
-        perm = [v for cell in cells for v in cell]
+    colors, cells = _refine(p, adj, colors)
+    if len(cells) == p or _is_homogeneous(adj, cells):
+        perm = [v for cell in cells for v in bits(cell)]
         return _leaf(_emit(p, adj, perm), perm, path, st)
     # Branch on the smallest non-singleton cell (ties: lowest color). A vertex
     # is skipped when an automorphism fixing the path maps an earlier vertex
     # of the cell onto it: its branch then repeats that vertex's codes.
-    target = min((c for c in cells if len(c) > 1), key=len)
+    target = min((c for c in cells if c.bit_count() > 1), key=int.bit_count)
     fresh = len(cells)
     twins: set[int] = set()
     orbit = list(range(p))  # union-find, each root the least vertex of its orbit
@@ -206,7 +193,7 @@ def _canon_search(p: int, adj: list[int], colors: list[int],
             v = orbit[v]
         return v
 
-    for v in target:
+    for v in bits(target):
         # Open or closed twins are swapped by a transposition.
         nbrs = adj[v]
         closed = nbrs | 1 << v

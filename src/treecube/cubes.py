@@ -30,6 +30,7 @@ from .graphs import (
     is_complete,
     is_connected,
     power,
+    relabel,
 )
 from .trees import (
     Tree,
@@ -207,13 +208,7 @@ def _constructive_root(G: LabeledGraph) -> tuple[Tree, tuple[int, ...]] | None:
 
 def _is_labeled_cube(G: LabeledGraph, T: Tree, vertex_map: tuple[int, ...]) -> bool:
     """True iff ``vertex_map`` is a bijection carrying T's cube onto G edge for edge."""
-    if sorted(vertex_map) != list(range(G.p)):
-        return False
-    cube = power(T, 3)
-    if cube.size != G.size:
-        return False
-    adj = G._adj
-    return all(adj[vertex_map[u]] >> vertex_map[v] & 1 for u, v in cube.edges)
+    return sorted(vertex_map) == list(range(G.p)) and relabel(power(T, 3), vertex_map) == G
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,11 @@
 """Simple undirected graphs: parsing, vertex deletion, powers, distances, certificates.
 
-Vertices are dense integers ``0..p-1``. A graph is its adjacency masks:
-``size`` counts edges from them and ``edges`` is derived on first read.
-``LabeledGraph(p, edges)`` checks outside input; powers and deletions are built
-from masks. Values are immutable after construction and safe to share across
-workers; every operation here is a pure function.
+Vertices are dense integers ``0..p-1``. A graph is its adjacency masks and
+nothing else: ``size``, ``edges`` and ``edge_list`` are read off them on each
+call. ``LabeledGraph(p, edges)`` checks hand-built edge lists; the parsers,
+``relabel``, certificates, powers and deletions build masks directly. Values are
+immutable after construction and safe to share across workers; every operation
+here is a pure function.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ Edge = tuple[int, int]
 class LabeledGraph:
     """Simple undirected graph on 0..p-1: bit v of ``_adj[u]`` is set iff u, v are adjacent."""
 
-    __slots__ = ("p", "_adj", "_edges")
+    __slots__ = ("p", "_adj")
 
     def __init__(self, p: int, edges: Iterable[Iterable[int]] = ()):
         if p < 0:
@@ -35,16 +36,12 @@ class LabeledGraph:
                 raise ValueError(f"edge ({u}, {v}) out of range for p={p}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self.p, self._adj, self._edges = p, adj, None
+        self.p, self._adj = p, adj
 
     @property
     def edges(self) -> frozenset[Edge]:
-        """The edges as pairs ``(u, v)`` with ``u < v``, derived once from the masks."""
-        if self._edges is None:
-            # each edge once, from its lower end: keep the vertices above u
-            self._edges = frozenset((u, v) for u, a in enumerate(self._adj)
-                                    for v in _kernels.bits(a & -(2 << u)))
-        return self._edges
+        """The edges as pairs ``(u, v)`` with ``u < v``."""
+        return frozenset(self.edge_list())
 
     @property
     def size(self) -> int:
@@ -65,7 +62,8 @@ class LabeledGraph:
         return bool(self._adj[u] >> v & 1)
 
     def edge_list(self) -> list[Edge]:
-        return sorted(self.edges)
+        """The edges in increasing order: each once, from its lower end."""
+        return [(u, v) for u, a in enumerate(self._adj) for v in _kernels.bits(a & -(2 << u))]
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.p):
@@ -86,7 +84,7 @@ class LabeledGraph:
         return hash(tuple(self._adj))
 
     def __repr__(self) -> str:
-        return f"LabeledGraph(p={self.p}, edges={self.edge_list()})"
+        return f"{type(self).__name__}(p={self.p}, edges={self.edge_list()})"
 
 
 @dataclass(frozen=True, order=True)
@@ -120,14 +118,15 @@ class CanonicalForm:
         """Decode the canonical representative of this isomorphism class."""
         p = self.order
         bits = self.certificate[4:]
-        edges = []
+        adj = [0] * p
         k = 0
         for i in range(p):
             for j in range(i + 1, p):
                 if bits[k >> 3] >> (7 - (k & 7)) & 1:
-                    edges.append((i, j))
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
                 k += 1
-        return LabeledGraph(p, edges)
+        return _from_masks(adj)
 
 
 # ── construction helpers ──────────────────────────────────────────────
@@ -161,13 +160,16 @@ def relabel(G: LabeledGraph, perm: Iterable[int]) -> LabeledGraph:
     perm = list(perm)
     if sorted(perm) != list(range(G.p)):
         raise ValueError("perm must be a permutation of 0..p-1")
-    return LabeledGraph(G.p, [(perm[u], perm[v]) for u, v in G.edges])
+    adj = [0] * G.p
+    for u, a in enumerate(G._adj):
+        adj[perm[u]] = sum(1 << perm[v] for v in _kernels.bits(a))
+    return _from_masks(adj)
 
 
 def _from_masks(adj: list[int]) -> LabeledGraph:
     """The graph of symmetric loop-free adjacency masks, built without edge checks."""
     G = LabeledGraph.__new__(LabeledGraph)
-    G.p, G._adj, G._edges = len(adj), adj, None
+    G.p, G._adj = len(adj), adj
     return G
 
 
@@ -323,8 +325,7 @@ def _parse_edgelist(text: str, line: int = 1) -> LabeledGraph:
     if p > MAX_EDGELIST_ORDER:
         raise GraphParseError(
             f"vertex count {p} exceeds the edge-list limit {MAX_EDGELIST_ORDER}", line=header_no)
-    edges = []
-    seen = set()
+    adj = [0] * p
     for no, raw in enumerate(lines[header_no - line + 1:], start=header_no + 1):
         stripped = raw.strip()
         if not stripped:
@@ -340,12 +341,11 @@ def _parse_edgelist(text: str, line: int = 1) -> LabeledGraph:
             raise GraphParseError(f"self-loop at vertex {u}", line=no)
         if not (0 <= u < p and 0 <= v < p):
             raise GraphParseError(f"edge ({u}, {v}) out of range for p={p}", line=no)
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
+        if adj[u] >> v & 1:
             raise GraphParseError(f"duplicate edge ({u}, {v})", line=no)
-        seen.add(e)
-        edges.append(e)
-    return LabeledGraph(p, edges)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return _from_masks(adj)
 
 
 def to_graph6(G: LabeledGraph) -> str:
@@ -397,14 +397,15 @@ def _parse_graph6(text: str, line: int = 1) -> LabeledGraph:
     if len(data) - idx != (nbits + 5) // 6:
         raise GraphParseError(
             f"graph6 payload length {len(data) - idx} does not match order {n}", line=line)
-    edges = []
+    adj = [0] * n
     k = 0
     for j in range(1, n):
         for i in range(j):
             if data[idx + k // 6] >> (5 - k % 6) & 1:
-                edges.append((i, j))
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
             k += 1
-    return LabeledGraph(n, edges)
+    return _from_masks(adj)
 
 
 def parse_graph(text: str, fmt: str | None = None) -> LabeledGraph:

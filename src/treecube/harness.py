@@ -182,8 +182,8 @@ def _lemma21_unit(T: Tree) -> tuple[int, list[dict]]:
 def _lemma24_unit(seen: dict, T: Tree) -> tuple[int, list[dict]]:
     # every proper-or-full leaf subset whose deletion leaves a nonempty graph.
     # Trees grow by a leaf labeled p - 1, so many (tree, subset) pairs leave
-    # the same labeled graph: `seen` maps its adjacency masks, which fix p and
-    # every edge, to its one is_tree_cube answer.
+    # the same labeled graph: `seen` maps each graph, whose equality and hash
+    # are its adjacency masks, to its one is_tree_cube answer.
     G = power(T, 3)
     leaf_list = sorted(leaves(T))
     checked = 0
@@ -194,10 +194,9 @@ def _lemma24_unit(seen: dict, T: Tree) -> tuple[int, list[dict]]:
             continue
         checked += 1
         H = delete_vertices(G, subset)
-        key = tuple(H._adj)
-        ok = seen.get(key)
+        ok = seen.get(H)
         if ok is None:
-            ok = seen[key] = is_tree_cube(H)
+            ok = seen[H] = is_tree_cube(H)
         if not ok:
             failures.append({"tree": canonical_form(T).hex(), "deleted": subset})
     return checked, failures

@@ -27,16 +27,13 @@ class Tree(LabeledGraph):
     def __init__(self, graph: LabeledGraph):
         if not is_tree(graph):
             raise NotATreeError(f"graph with p={graph.p}, m={graph.size} is not a tree")
-        # share the checked graph's masks and edge cache instead of rebuilding them
-        self.p, self._adj, self._edges = graph.p, graph._adj, graph._edges
+        # share the checked graph's masks instead of rebuilding them
+        self.p, self._adj = graph.p, graph._adj
 
     @property
     def graph(self) -> "Tree":
         """The tree itself; kept only because ``bench/workloads.py`` reads it."""
         return self
-
-    def __repr__(self) -> str:
-        return f"Tree(p={self.p}, edges={self.edge_list()})"
 
 
 def is_tree(G: LabeledGraph) -> bool:
@@ -45,10 +42,8 @@ def is_tree(G: LabeledGraph) -> bool:
 
 
 def leaves(T: Tree) -> frozenset[int]:
-    """Degree-1 vertices; the sole vertex of a 1-vertex tree counts as a leaf."""
-    if T.p == 1:
-        return frozenset({0})
-    return frozenset(v for v in range(T.p) if T.degree(v) == 1)
+    """Vertices of degree at most 1: the sole vertex of a 1-vertex tree is a leaf."""
+    return frozenset(v for v, a in enumerate(T._adj) if a.bit_count() <= 1)
 
 
 def end_deleted(T: Tree) -> Tree:
@@ -56,17 +51,17 @@ def end_deleted(T: Tree) -> Tree:
 
     Both P1 and P2 end-delete to the empty tree, which end-deletes to itself.
     """
-    return Tree(delete_vertices(T, leaf_orders(T)[0] if T.p else ()))
+    return Tree(delete_vertices(T, leaves(T)))
 
 
 def leaf_orders(T: Tree) -> tuple[frozenset[int], ...]:
     """The layers L_0, L_1, ...: L_i holds the leaves of the i-times end-deleted tree.
 
-    This is the one place a tree is peeled; every end-deletion notion derives
-    from these layers. Each layer is found from the last one's neighbors, so
-    peeling costs one pass over the edges. A cycle never peels, so vertices
-    left over raise ``NotATreeError``; so does a forest, which peels but is
-    acyclic with fewer than p - 1 edges.
+    This is the one place a tree is peeled past its leaves (L_0 is
+    ``leaves(T)``, all that ``end_deleted`` needs). Each layer is found from
+    the last one's neighbors, so peeling costs one pass over the edges. A
+    cycle never peels, so vertices left over raise ``NotATreeError``; so does
+    a forest, which peels but is acyclic with fewer than p - 1 edges.
     """
     adj = T._adj
     deg = [a.bit_count() for a in adj]

@@ -88,8 +88,9 @@ def test_parse_rejects_self_loop():
 
 
 def test_parse_rejects_duplicates_and_garbage():
-    with pytest.raises(GraphParseError):
+    with pytest.raises(GraphParseError) as exc:
         parse_graph("3\n0 1\n1 0")
+    assert exc.value.message == "duplicate edge (1, 0)" and exc.value.line == 3
     with pytest.raises(GraphParseError):
         parse_graph("3\n0 x")
     with pytest.raises(GraphParseError):
@@ -376,7 +377,6 @@ def test_mask_built_graphs_equal_checked_ones(G, k):
 def test_size_counts_the_edges_of_built_and_derived_graphs():
     for p, edges in CORPUS:
         G = LabeledGraph(p, edges)
-        # fresh graphs on both sides: neither has derived its edge set yet
         want = frozenset(tuple(sorted(e)) for e in edges)
         assert _from_masks(list(G._adj)).edges == LabeledGraph(p, edges).edges == want
         derived = [G, power(G, 2), power(G, 3), *(delete_vertex(G, v) for v in range(p))]
@@ -384,6 +384,35 @@ def test_size_counts_the_edges_of_built_and_derived_graphs():
             derived += leaf_extensions([Tree(G)]).values()
         for H in derived:
             assert H.size == len(H.edges)
+            listed = H.edge_list()
+            assert listed == sorted(H.edges)
+            assert all(a < b for a, b in zip(listed, listed[1:]))
+        # relabel maps masks; the reference maps each edge and checks it
+        rng = random.Random(p)
+        for _ in range(3):
+            perm = rng.sample(range(p), p)
+            assert relabel(G, perm) == LabeledGraph(p, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_parsers_relabel_and_certificates_build_masks(monkeypatch):
+    # only hand-built graphs go through the checking constructor
+    graphs = [LabeledGraph(p, edges) for p, edges in CORPUS]
+    texts = [(to_edgelist(G), "edgelist") for G in graphs]
+    texts += [(to_graph6(G), "graph6") for G in graphs]
+    masks = [list(G._adj) for G in graphs]
+
+    def refuse(*args):
+        raise AssertionError("LabeledGraph.__init__ was called")
+
+    monkeypatch.setattr(LabeledGraph, "__init__", refuse)
+    assert "_edges" not in LabeledGraph.__slots__
+    for (text, fmt), adj in zip(texts, masks + masks):
+        assert parse_graph(text, fmt)._adj == adj
+    for G in graphs:
+        perm = list(range(G.p))[::-1]
+        assert relabel(relabel(G, perm), perm) == G
+        H = canonical_form(G).to_graph()
+        assert canonical_form(H) == canonical_form(G)
 
 
 def test_derived_graphs_of_a_tree_are_plain_graphs():

@@ -152,13 +152,15 @@ def test_refine_matches_a_per_bit_count():
         if p == 0:
             continue
         a = adj_masks(p, edges)
-        stable = _kernels._refine(p, a, [0] * p)
+        stable, cells = _kernels._refine(p, a, [0] * p)
         assert stable == refine_by_bits(p, a, [0] * p)
+        assert cells == [sum(1 << v for v in range(p) if stable[v] == c)
+                         for c in range(max(stable) + 1)]
         # individualize one vertex, as the search does when it branches
         for v in range(p):
             colors = list(stable)
             colors[v] = max(stable) + 1
-            assert _kernels._refine(p, a, list(colors)) == refine_by_bits(p, a, colors)
+            assert _kernels._refine(p, a, list(colors))[0] == refine_by_bits(p, a, colors)
 
 
 def binary_tree(depth):
