@@ -2,15 +2,17 @@
 
 The enumeration of free trees (one representative per isomorphism class, in a
 deterministic order) is the brute-force substrate used by the oracles and the
-verification sweeps. It grows trees by a leaf on their adjacency masks and
-checks one candidate per class, the one it keeps, as a ``Tree``.
+verification sweeps. It peels each tree once and tells the trees grown from it
+by a leaf apart by interned AHU codes, re-derived along one path; only the
+one it keeps per class gets masks and a ``Tree`` check.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import insort
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import _kernels
 from .errors import EnumerationLimitError, NotATreeError
@@ -85,26 +87,56 @@ def leaf_orders(T: Tree) -> tuple[frozenset[int], ...]:
     return tuple(orders)
 
 
+class _Codes(dict):
+    # Interned rooted codes: the sorted ids of a vertex's children map to its
+    # id, and strs[id], its AHU string, is built once from older ids' strings.
+    def __init__(self) -> None:
+        self.strs: list[str] = []
+
+    def __missing__(self, key: tuple[int, ...]) -> int:
+        self.strs.append("(" + "".join(sorted([self.strs[i] for i in key])) + ")")
+        i = self[key] = len(self.strs) - 1
+        return i
+
+    def root_string(self, ids: Sequence[int]) -> str:
+        # a free tree's code from the ids of its one or two centers
+        if len(ids) == 1:
+            return self.strs[ids[0]]
+        return "[" + "".join(sorted([self.strs[i] for i in ids])) + "]"
+
+
+def _rooted_codes(T: Tree, codes: _Codes):
+    # Each vertex's key and id, rooted at the center(s), over leaf_orders: a
+    # vertex's children are its neighbors in earlier layers, and its parent
+    # is its one neighbor in a later layer (-1 for a center).
+    adj = T._adj
+    layers = leaf_orders(T)
+    key, code, parent = [()] * T.p, [0] * T.p, [-1] * T.p
+    done = 0
+    for layer in layers:
+        for v in layer:
+            kids = _kernels.bits(adj[v] & done)
+            for u in kids:
+                parent[u] = v
+            key[v] = tuple(sorted([code[u] for u in kids]))
+            code[v] = codes[key[v]]
+        for v in layer:
+            done |= 1 << v
+    return layers, key, code, parent
+
+
 def ahu_code(T: Tree) -> str:
     """Canonical string for free trees: equal iff isomorphic.
 
-    The codes are built layer by layer over ``leaf_orders``: a vertex's
-    children are its neighbors in earlier layers, and the last layer holds
-    the one or two centers.
+    Each vertex's code is "(" + its children's codes, sorted, + ")", rooted
+    at the center; a tree with two centers is "[" + their two codes, sorted,
+    + "]". The codes are interned layer by layer over ``leaf_orders``.
     """
     if T.p == 0:
         return ""
-    adj = T._adj
-    code = [""] * T.p
-    done = 0
-    for layer in leaf_orders(T):
-        for v in layer:
-            code[v] = "(" + "".join(sorted([code[u] for u in _kernels.bits(adj[v] & done)])) + ")"
-        for v in layer:
-            done |= 1 << v
-    if len(layer) == 1:
-        return code[next(iter(layer))]
-    return "[" + "".join(sorted(code[v] for v in layer)) + "]"
+    codes = _Codes()
+    layers, _, code, _ = _rooted_codes(T, codes)
+    return codes.root_string([code[v] for v in layers[-1]])
 
 
 # ── free-tree enumeration ─────────────────────────────────────────────
@@ -126,19 +158,54 @@ def leaf_extensions(trees: Iterable[Tree]) -> dict[str, Tree]:
 
     Trees are extended in input order, attaching to vertex 0, 1, ... in turn.
     Returns the first tree generated in each isomorphism class, keyed by its
-    AHU code, in generation order. Each candidate is built from the tree's
-    masks; only the first of its class is checked by ``Tree``.
+    AHU code, in generation order. Each tree is peeled once; a leaf at ``a``
+    re-interns only the codes on the path from ``a`` to the center, which
+    moves only when ``a`` lies at the radius: one center c becomes the edge
+    from c toward ``a``, two become the one on ``a``'s side. Only the first
+    candidate of a class gets masks, a string and a ``Tree`` check.
     """
-    out: dict[str, Tree] = {}
+    out: dict[tuple[int, ...], Tree] = {}
+    codes = _Codes()
+    leaf = codes[()]
     for small in trees:
-        for attach in range(small.p):
-            adj = [*small._adj, 1 << attach]
-            adj[attach] |= 1 << small.p
-            cand = _from_masks(adj)
-            code = ahu_code(cand)
-            if code not in out:
-                out[code] = Tree(cand)
-    return out
+        if not small.p:
+            continue
+        layers, key, code, parent = _rooted_codes(small, codes)
+        r, centers = len(layers) - 1, tuple(layers[-1])
+        depth = [0] * small.p
+        for layer in reversed(layers[:-1]):
+            for v in layer:
+                depth[v] = depth[parent[v]] + 1
+        for a in range(small.p):
+            deepest = depth[a] == r
+            # re-intern the path up to the center, or below it if it moves
+            end = centers[0] if deepest and len(centers) == 1 else -1
+            new, old, v = leaf, -1, a
+            while v != end:
+                k = list(key[v])
+                if old >= 0:
+                    k.remove(old)
+                insort(k, new)
+                top, old, new, v = v, code[v], codes[tuple(k)], parent[v]
+            if end >= 0:
+                k = list(key[end])
+                if old >= 0:
+                    k.remove(old)
+                root = tuple(sorted((new, codes[tuple(k)])))
+            elif len(centers) == 1:
+                root = (new,)
+            else:
+                other = code[centers[centers[0] == top]]
+                if deepest:
+                    insort(k, other)
+                    root = (codes[tuple(k)],)
+                else:
+                    root = tuple(sorted((new, other)))
+            if root not in out:
+                adj = [*small._adj, 1 << a]
+                adj[a] |= 1 << small.p
+                out[root] = Tree(_from_masks(adj))
+    return {codes.root_string(root): T for root, T in out.items()}
 
 
 @lru_cache(maxsize=None)

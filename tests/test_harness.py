@@ -195,6 +195,17 @@ def test_lemma24_answers_each_labeled_graph_once_per_run(monkeypatch):
         assert len(calls) == 75
 
 
+def test_lemma24_memo_hits_follow_the_enumerated_labelings(monkeypatch):
+    # the memo shares answers between labeled-equal graphs only, so relabeled
+    # representatives would pass every suite while asking far more often
+    calls = []
+    real = harness.is_tree_cube
+    monkeypatch.setattr(harness, "is_tree_cube", lambda H: calls.append(None) or real(H))
+    report = run_suite("lemma24", 10, workers=1)
+    assert report.passed and report.checked == 9148
+    assert len(calls) == 548
+
+
 def test_report_json_payload_is_stable():
     r1 = run_suite("lemma25", 7)
     r2 = run_suite("lemma25", 7)

@@ -163,6 +163,37 @@ def test_refine_matches_a_per_bit_count():
             assert _kernels._refine(p, a, list(colors))[0] == refine_by_bits(p, a, colors)
 
 
+def refine_ranking_every_column(p, adj, colors):
+    """``_refine`` as it was before ranking only fresh columns: every column, every round."""
+    counts = {}
+    while True:
+        cells = [0] * (max(colors) + 1)
+        for v in range(p):
+            cells[colors[v]] |= 1 << v
+        counts = {cell: counts[cell] if cell in counts
+                  else list(map(int.bit_count, map(cell.__and__, adj))) for cell in cells}
+        sigs = list(zip(colors, *counts.values()))
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = list(map(rank.__getitem__, sigs))
+        if new == colors:
+            return colors, cells
+        colors = new
+
+
+def test_refine_ranking_fresh_columns_matches_every_column():
+    path = (255, [(i, i + 1) for i in range(254)])
+    for p, edges in CORPUS + [path]:
+        if p == 0:
+            continue
+        a = adj_masks(p, edges)
+        stable, cells = _kernels._refine(p, a, [0] * p)
+        assert (stable, cells) == refine_ranking_every_column(p, a, [0] * p)
+        for v in range(0, p, 1 if p < 64 else 64):
+            colors = list(stable)
+            colors[v] = max(stable) + 1
+            assert _kernels._refine(p, a, list(colors)) == refine_ranking_every_column(p, a, colors)
+
+
 def binary_tree(depth):
     p = 2 ** (depth + 1) - 1
     return p, [((v - 1) // 2, v) for v in range(1, p)]

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from helpers import all_free_trees_brute, induced_subgraph_oracle, random_prufer
 from treecube.errors import EnumerationLimitError, NotATreeError
 from treecube.graphs import (
     LabeledGraph,
+    _from_masks,
     canonical_form,
     cycle_graph,
     is_isomorphic,
@@ -173,6 +175,90 @@ def test_leaf_extensions_keep_the_first_tree_of_each_class():
     for p in range(1, 9):
         ext = list(leaf_extensions(enumerate_trees(p)).values())
         assert sorted(map(ahu_code, ext)) == sorted(map(ahu_code, enumerate_trees(p + 1)))
+
+
+def ahu_string(T):
+    """The AHU code built as strings over one peel, as before codes were interned."""
+    if T.p == 0:
+        return ""
+    code, done = [""] * T.p, set()
+    for layer in leaf_orders(T):
+        for v in layer:
+            code[v] = "(" + "".join(sorted(code[u] for u in T.neighbors(v) if u in done)) + ")"
+        done |= layer
+    if len(layer) == 1:
+        return code[next(iter(layer))]
+    return "[" + "".join(sorted(code[v] for v in layer)) + "]"
+
+
+def leaf_extensions_by_peeling(trees):
+    """The reference: every candidate built and peeled afresh."""
+    out = {}
+    for small in trees:
+        for attach in range(small.p):
+            adj = [*small._adj, 1 << attach]
+            adj[attach] |= 1 << small.p
+            cand = _from_masks(adj)
+            code = ahu_string(cand)
+            if code not in out:
+                out[code] = Tree(cand)
+    return out
+
+
+def assert_same_extensions(roots):
+    want = leaf_extensions_by_peeling(roots)
+    got = leaf_extensions(iter(roots))
+    assert list(got) == list(want)
+    assert [T.edge_list() for T in got.values()] == [T.edge_list() for T in want.values()]
+
+
+def spider(legs, length):
+    return Tree(LabeledGraph(1 + legs * length, [
+        (0 if j == 0 else 1 + length * i + j - 1, 1 + length * i + j)
+        for i in range(legs) for j in range(length)]))
+
+
+def binary_tree(depth):
+    p = 2 ** (depth + 1) - 1
+    return Tree(LabeledGraph(p, [((v - 1) // 2, v) for v in range(1, p)]))
+
+
+def test_leaf_extensions_match_a_per_candidate_peel():
+    for p in range(1, 12):
+        assert_same_extensions(enumerate_trees(p))
+    # root lists as reconstruct passes them: repeats, one class under two
+    # labelings, and the smallest trees
+    T = enumerate_trees(8)[5]
+    perm = list(range(8))
+    random.Random(3).shuffle(perm)
+    for roots in ([T, T], [T, Tree(relabel(T, perm)), T], [Tree(LabeledGraph(0))], [P(1)], [P(2)],
+                  [P(2), P(1), Tree(LabeledGraph(0)), P(1)], []):
+        assert_same_extensions(roots)
+    # one center and two, and new leaves at the greatest depth or not
+    rng = random.Random(29)
+    shaped = [Tree(random_prufer_tree(rng, rng.randint(30, 80))) for _ in range(40)]
+    shaped += [P(p) for p in range(3, 40)] + [S(p) for p in range(3, 20)]
+    shaped += [spider(legs, length) for legs in range(2, 6) for length in range(1, 5)]
+    shaped += [binary_tree(d) for d in range(5)]
+    shaped += [double_star(2, 3), double_star(4, 4)]
+    assert {len(leaf_orders(T)[-1]) for T in shaped} == {1, 2}
+    for T in shaped:
+        assert_same_extensions([T])
+        assert ahu_code(T) == ahu_string(T)
+
+
+def test_enumeration_at_stretch_orders_keeps_its_representatives(monkeypatch):
+    # sha256 of every representative's edge list, in order, as the
+    # per-candidate peel enumerated them
+    monkeypatch.setenv("TREECUBE_MAX_ORDER", "14")
+    pinned = {
+        13: (1301, "450a00c0887c5a8f0c8d27a9ceb1a67af776c0d64a167b6c2d8e5041b6cc7c13"),
+        14: (3159, "a985c357c7a94932b667b79272199ab7c7670562ec42aff7b3644884571817ad"),
+    }
+    for p, (count, digest) in pinned.items():
+        reps = enumerate_trees(p)
+        assert len(reps) == count
+        assert hashlib.sha256(repr([T.edge_list() for T in reps]).encode()).hexdigest() == digest
 
 
 def test_enumeration_checks_one_tree_per_class(monkeypatch):
