@@ -72,18 +72,17 @@ def _refine(p: int, adj: list[int], colors: list[int]) -> tuple[list[int], list[
     # colors and each color's cell as a vertex mask, in color order. New color
     # ids are ranks of (old color, neighbor color counts), so the result
     # depends only on the isomorphism class of the colored graph. A cell's
-    # counts are one popcount per vertex, and a cell that did not split keeps
-    # its counts. Only fresh cells' columns are ranked: one ranked last round
-    # is constant on every current cell, so it cannot change the ranks.
-    counts: dict[int, list[int]] = {}
+    # counts are one popcount per vertex. Only cells new this round are
+    # counted and ranked: an older cell's counts were ranked when it was new,
+    # so they are constant on every current cell and cannot change the ranks.
+    last: set[int] = set()
     while True:
         cells = [0] * (max(colors) + 1)
         for v in range(p):
             cells[colors[v]] |= 1 << v
-        fresh = [cell for cell in cells if cell not in counts]
-        counts = {cell: counts[cell] if cell in counts
-                  else list(map(int.bit_count, map(cell.__and__, adj))) for cell in cells}
-        sigs = list(zip(colors, *map(counts.__getitem__, fresh)))
+        fresh = [cell for cell in cells if cell not in last]
+        last = set(cells)
+        sigs = list(zip(colors, *[map(int.bit_count, map(cell.__and__, adj)) for cell in fresh]))
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
         new = list(map(rank.__getitem__, sigs))
         if new == colors:
