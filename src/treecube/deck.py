@@ -34,7 +34,7 @@ from .trees import Tree, leaf_extensions
 # (p - 1)(p - 2) / 2 bits each, so its cost grows as p^3 while the text of an
 # edgeless deck grows only as p. At this cap, on a 2-core Xeon host, an
 # edgeless deck (1.3 KB) parses in 0.6 s, but a 255-vertex path card labels
-# in 0.4 s, so a deck of 256 path cards (0.47 MB) takes about 100 s.
+# in 0.1 s, so a deck of 256 path cards (0.47 MB) takes about 26 s.
 MAX_DECK_ORDER = 256
 
 

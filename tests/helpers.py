@@ -122,6 +122,19 @@ def all_free_trees_brute(p: int) -> list[LabeledGraph]:
     return reps
 
 
+def binary_tree(depth: int) -> tuple[int, list[tuple[int, int]]]:
+    """The complete binary tree of the given depth, as (p, edges)."""
+    p = 2 ** (depth + 1) - 1
+    return p, [((v - 1) // 2, v) for v in range(1, p)]
+
+
+def spider(legs: int, length: int = 3) -> tuple[int, list[tuple[int, int]]]:
+    """Legs of equal length joined at vertex 0, as (p, edges)."""
+    edges = [(0 if j == 0 else 1 + length * i + j - 1, 1 + length * i + j)
+             for i in range(legs) for j in range(length)]
+    return 1 + legs * length, edges
+
+
 def symmetric_corpus():
     """Vertex-transitive graphs, as (name, p, edges)."""
     petersen = [(i, (i + 1) % 5) for i in range(5)]

@@ -7,7 +7,7 @@ import inspect
 import random
 from pathlib import Path
 
-from helpers import CORPUS, symmetric_corpus
+from helpers import CORPUS, binary_tree, spider, symmetric_corpus
 from treecube import _kernels
 
 
@@ -192,17 +192,6 @@ def test_refine_ranking_fresh_columns_matches_every_column():
             colors = list(stable)
             colors[v] = max(stable) + 1
             assert _kernels._refine(p, a, list(colors)) == refine_ranking_every_column(p, a, colors)
-
-
-def binary_tree(depth):
-    p = 2 ** (depth + 1) - 1
-    return p, [((v - 1) // 2, v) for v in range(1, p)]
-
-
-def spider(legs, length=3):
-    edges = [(0 if j == 0 else 1 + length * i + j - 1, 1 + length * i + j)
-             for i in range(legs) for j in range(length)]
-    return 1 + legs * length, edges
 
 
 def cube_edges(p, edges):

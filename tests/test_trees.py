@@ -4,7 +4,13 @@ import random
 import pytest
 
 from treecube import trees
-from helpers import all_free_trees_brute, induced_subgraph_oracle, random_prufer_tree
+from helpers import (
+    all_free_trees_brute,
+    binary_tree,
+    induced_subgraph_oracle,
+    random_prufer_tree,
+    spider,
+)
 from treecube.errors import EnumerationLimitError, NotATreeError
 from treecube.graphs import (
     LabeledGraph,
@@ -212,17 +218,6 @@ def assert_same_extensions(roots):
     assert [T.edge_list() for T in got.values()] == [T.edge_list() for T in want.values()]
 
 
-def spider(legs, length):
-    return Tree(LabeledGraph(1 + legs * length, [
-        (0 if j == 0 else 1 + length * i + j - 1, 1 + length * i + j)
-        for i in range(legs) for j in range(length)]))
-
-
-def binary_tree(depth):
-    p = 2 ** (depth + 1) - 1
-    return Tree(LabeledGraph(p, [((v - 1) // 2, v) for v in range(1, p)]))
-
-
 def test_leaf_extensions_match_a_per_candidate_peel():
     for p in range(1, 12):
         assert_same_extensions(enumerate_trees(p))
@@ -238,8 +233,9 @@ def test_leaf_extensions_match_a_per_candidate_peel():
     rng = random.Random(29)
     shaped = [Tree(random_prufer_tree(rng, rng.randint(30, 80))) for _ in range(40)]
     shaped += [P(p) for p in range(3, 40)] + [S(p) for p in range(3, 20)]
-    shaped += [spider(legs, length) for legs in range(2, 6) for length in range(1, 5)]
-    shaped += [binary_tree(d) for d in range(5)]
+    shaped += [Tree(LabeledGraph(*spider(legs, length)))
+               for legs in range(2, 6) for length in range(1, 5)]
+    shaped += [Tree(LabeledGraph(*binary_tree(d))) for d in range(5)]
     shaped += [double_star(2, 3), double_star(4, 4)]
     assert {len(leaf_orders(T)[-1]) for T in shaped} == {1, 2}
     for T in shaped:
