@@ -22,10 +22,10 @@ from functools import lru_cache
 from . import _kernels
 from .errors import AmbiguousStructureError, NotACubeError, NotATreeError
 from .graphs import (
-    CanonicalForm,
     LabeledGraph,
     _canonical,
     canonical_form,
+    degree_sequence,
     edge_span,
     is_complete,
     is_connected,
@@ -208,7 +208,7 @@ def _constructive_root(G: LabeledGraph) -> tuple[Tree, tuple[int, ...]] | None:
 
 def _is_labeled_cube(G: LabeledGraph, T: Tree, vertex_map: tuple[int, ...]) -> bool:
     """True iff ``vertex_map`` is a bijection carrying T's cube onto G edge for edge."""
-    return sorted(vertex_map) == list(range(G.p)) and relabel(power(T, 3), vertex_map) == G
+    return sorted(vertex_map) == list(range(G.p)) and power(relabel(T, vertex_map), 3) == G
 
 
 @lru_cache(maxsize=None)
@@ -225,15 +225,19 @@ def _complete_roots(p: int) -> tuple[Tree, ...]:
 
 
 @lru_cache(maxsize=None)
-def _cubes_by_certificate(p: int) -> dict[CanonicalForm, tuple[tuple[Tree, ...], tuple[int, ...]]]:
+def _cubes_by_certificate(p: int) -> tuple[dict, frozenset[tuple[int, ...]]]:
     """Each cube certificate of order p mapped to the trees that cube to it,
-    in enumeration order, and the canonical order of the first one's cube."""
+    in enumeration order, and the canonical order of the first one's cube;
+    then the degree sequences of those cubes."""
     table: dict = {}
+    degrees = set()
     for T in enumerate_trees(p):
-        cert, order = _canonical(power(T, 3))
+        cube = power(T, 3)
+        degrees.add(degree_sequence(cube))
+        cert, order = _canonical(cube)
         trees, first_order = table.get(cert, ((), order))
         table[cert] = (trees + (T,), first_order)
-    return table
+    return table, frozenset(degrees)
 
 
 def cube_root(G: LabeledGraph) -> RootResult:
@@ -265,7 +269,7 @@ def cube_root_oracle(G: LabeledGraph) -> RootResult:
     """Brute-force root extraction: test every tree of the same order.
 
     Above the enumeration cap ``enumerate_trees`` refuses a connected graph
-    before any canonical labeling runs.
+    before any canonical labeling runs, and so is one no cube's degree sequence fits.
     """
     p = G.p
     if p == 0 or not is_connected(G):
@@ -273,7 +277,9 @@ def cube_root_oracle(G: LabeledGraph) -> RootResult:
     # the cap refuses on every call, even when the table is cached, and
     # before any labeling
     enumerate_trees(p)
-    table = _cubes_by_certificate(p)
+    table, degrees = _cubes_by_certificate(p)
+    if degree_sequence(G) not in degrees:
+        return RootResult(RootKind.NOT_A_CUBE)
     target, order_g = _canonical(G)
     if target not in table:
         return RootResult(RootKind.NOT_A_CUBE)

@@ -223,6 +223,11 @@ def is_complete(G: LabeledGraph) -> bool:
     return G.size == G.p * (G.p - 1) // 2
 
 
+def degree_sequence(G: LabeledGraph) -> tuple[int, ...]:
+    """The sorted vertex degrees, equal on isomorphic graphs."""
+    return tuple(sorted(map(int.bit_count, G._adj)))
+
+
 def eccentricity(G: LabeledGraph, v: int) -> int:
     """Maximum distance from v; requires a connected graph."""
     G._check_vertex(v)

@@ -40,6 +40,7 @@ from .graphs import (
     canonical_form,
     complete_bipartite_graph,
     cycle_graph,
+    degree_sequence,
     delete_vertex,
     delete_vertices,
     diameter,
@@ -368,21 +369,23 @@ def collide(n: int, max_order: int, require_noncomplete: bool = False,
     pairs = []
     for p in range(1, max_order + 1):
         trees = enumerate_trees(p)
-        certs = _map_units(partial(_power_cert, n), trees, workers)
+        powers = [power(T, n) for T in trees]
+        # only powers that share a degree sequence can be isomorphic
+        by_degrees: dict = {}
+        for i, G in enumerate(powers):
+            by_degrees.setdefault(degree_sequence(G), []).append(i)
+        shared = sorted(i for idxs in by_degrees.values() if len(idxs) > 1 for i in idxs)
+        certs = _map_units(canonical_form, [powers[i] for i in shared], workers)
         buckets: dict = {}
-        for i, cert in enumerate(certs):
+        for i, cert in zip(shared, certs):
             buckets.setdefault(cert, []).append(i)
         for cert, idxs in sorted(buckets.items()):
             if len(idxs) < 2:
                 continue
-            complete = is_complete(power(trees[idxs[0]], n))
+            complete = is_complete(powers[idxs[0]])
             if require_noncomplete and complete:
                 continue
             for a in range(len(idxs)):
                 for b in range(a + 1, len(idxs)):
                     pairs.append(CollisionPair(trees[idxs[a]], trees[idxs[b]], cert, complete))
     return CollisionResult(n, max_order, require_noncomplete, tuple(pairs))
-
-
-def _power_cert(n: int, T: Tree) -> CanonicalForm:
-    return canonical_form(power(T, n))

@@ -110,6 +110,10 @@ def all_free_trees_brute(p: int) -> list[LabeledGraph]:
     if p == 2:
         return [LabeledGraph(2, [(0, 1)])]
     reps: list[LabeledGraph] = []
+    # isomorphic trees share a sorted degree sequence, read off the Pruefer
+    # code (a vertex's degree is one more than its occurrences), so a tree is
+    # compared only with the representatives of its own sequence
+    by_degrees: dict[tuple[int, ...], list[LabeledGraph]] = {}
     for code in range(p ** (p - 2)):
         seq = []
         x = code
@@ -117,7 +121,9 @@ def all_free_trees_brute(p: int) -> list[LabeledGraph]:
             seq.append(x % p)
             x //= p
         G = LabeledGraph(p, prufer_to_edges(seq))
-        if not any(brute_force_isomorphic(G, R) for R in reps):
+        same = by_degrees.setdefault(tuple(sorted(1 + seq.count(v) for v in range(p))), [])
+        if not any(brute_force_isomorphic(G, R) for R in same):
+            same.append(G)
             reps.append(G)
     return reps
 

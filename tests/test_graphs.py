@@ -23,6 +23,7 @@ from treecube.graphs import (
     canonical_form,
     complete_graph,
     cycle_graph,
+    degree_sequence,
     delete_vertex,
     delete_vertices,
     diameter,
@@ -272,6 +273,14 @@ def test_three_free_trees_on_five_vertices_have_distinct_certificates():
     assert len(reps) == 3
     certs = {canonical_form(G) for G in reps}
     assert len(certs) == 3
+
+
+@settings(max_examples=80)
+@given(small_graphs(), st.data())
+def test_degree_sequence_is_sorted_and_invariant_under_relabeling(G, data):
+    perm = data.draw(st.permutations(range(G.p)))
+    assert degree_sequence(G) == tuple(sorted(G.degree(v) for v in range(G.p)))
+    assert degree_sequence(relabel(G, perm)) == degree_sequence(G)
 
 
 @settings(max_examples=80)

@@ -4,10 +4,23 @@ import pytest
 
 from treecube import _kernels, harness
 from treecube.cubes import RootKind, cube_root_oracle
-from treecube.graphs import canonical_form, complete_graph, is_complete, is_connected, path_graph, power, star_graph
+from treecube.graphs import (
+    canonical_form,
+    complete_graph,
+    degree_sequence,
+    is_complete,
+    is_connected,
+    path_graph,
+    power,
+    star_graph,
+)
+from treecube.trees import enumerate_trees
 from treecube.harness import (
     DEFAULT_MAX_ORDER,
+    NONCUBE_CORPUS_SIZE,
     SUITES,
+    CollisionPair,
+    CollisionResult,
     collide,
     noncube_corpus,
     recognition_negative_corpus,
@@ -61,13 +74,13 @@ def test_lemma25_runs_no_canonical_labeling(monkeypatch):
 # that lowers a count updates this table
 LABELINGS_AT_ORDER_8 = {
     "thm31": 0,
-    "thm32": 48,
+    "thm32": 14,
     "lemma21": 0,
     "lemma24": 0,
     "lemma25": 0,
     "rc-pipeline": 554,
     "recognition-negative": 317,
-    "oracle-agreement": 296,
+    "oracle-agreement": 101,
 }
 
 
@@ -238,6 +251,85 @@ def test_collide_fourth_power_noncomplete_first_appears_at_order_8():
         assert not pair.complete
         assert canonical_form(power(pair.tree1, 4)) == pair.power_certificate
         assert canonical_form(pair.tree1) != canonical_form(pair.tree2)
+
+
+def _reference_collide(n, max_order, require_noncomplete):
+    # labels every power, with no degree-sequence buckets
+    pairs = []
+    for p in range(1, max_order + 1):
+        trees = enumerate_trees(p)
+        buckets: dict = {}
+        for T in trees:
+            buckets.setdefault(canonical_form(power(T, n)), []).append(T)
+        for cert, group in sorted(buckets.items()):
+            complete = is_complete(power(group[0], n))
+            if require_noncomplete and complete:
+                continue
+            pairs.extend(CollisionPair(a, b, cert, complete)
+                         for i, a in enumerate(group) for b in group[i + 1:])
+    return CollisionResult(n, max_order, require_noncomplete, tuple(pairs))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("require_noncomplete", [False, True])
+def test_collide_matches_a_reference_that_labels_every_power(n, require_noncomplete):
+    for max_order in (1, 4, 8, 10):
+        want = _reference_collide(n, max_order, require_noncomplete).to_json()
+        for workers in (1, 2):
+            assert collide(n, max_order, require_noncomplete, workers=workers).to_json() == want
+
+
+def _count_labelings(monkeypatch) -> list:
+    calls = []
+    labeling = _kernels.canonical_labeling
+
+    def counted(*args):
+        calls.append(None)
+        return labeling(*args)
+
+    monkeypatch.setattr(_kernels, "canonical_labeling", counted)
+    return calls
+
+
+def test_thm32_labels_only_cubes_that_share_a_degree_sequence(monkeypatch):
+    # 33 of the 201 cubes to order 10 and 113 of the 987 to order 12 share
+    # their degree sequence with another cube of their order
+    calls = _count_labelings(monkeypatch)
+    for order, labelings in ((10, 33), (12, 113)):
+        calls.clear()
+        assert run_suite("thm32", order).passed
+        assert len(calls) == labelings
+
+
+def _cube_degree_sequences(p):
+    return {degree_sequence(power(T, 3)) for T in enumerate_trees(p)}
+
+
+def test_oracle_rejects_an_unmatched_degree_sequence_without_labeling(monkeypatch):
+    corpus = noncube_corpus(NONCUBE_CORPUS_SIZE, 10)
+    unmatched = [G for G in corpus if degree_sequence(G) not in _cube_degree_sequences(G.p)]
+    assert len(unmatched) == 198
+    for p in range(4, 11):
+        cube_root_oracle(power(path_graph(p), 3))  # builds the order's table
+
+    def refuse(*args):
+        raise AssertionError("canonical labeling ran")
+
+    monkeypatch.setattr(_kernels, "canonical_labeling", refuse)
+    for G in unmatched:
+        assert cube_root_oracle(G).kind is RootKind.NOT_A_CUBE
+
+
+def test_oracle_labels_and_rejects_a_non_cube_with_a_cubes_degree_sequence(monkeypatch):
+    corpus = noncube_corpus(NONCUBE_CORPUS_SIZE, 10)
+    matched = [G for G in corpus if degree_sequence(G) in _cube_degree_sequences(G.p)]
+    assert sorted((G.p, G.size) for G in matched) == [(7, 16), (8, 21)]
+    calls = _count_labelings(monkeypatch)
+    for G in matched:
+        cube_root_oracle(power(path_graph(G.p), 3))  # builds the order's table
+        calls.clear()
+        assert cube_root_oracle(G).kind is RootKind.NOT_A_CUBE
+        assert len(calls) == 1
 
 
 def test_collide_validates_arguments():
