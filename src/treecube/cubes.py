@@ -268,8 +268,8 @@ def cube_root(G: LabeledGraph) -> RootResult:
 def cube_root_oracle(G: LabeledGraph) -> RootResult:
     """Brute-force root extraction: test every tree of the same order.
 
-    Above the enumeration cap ``enumerate_trees`` refuses a connected graph
-    before any canonical labeling runs, and so is one no cube's degree sequence fits.
+    No labeling runs above the enumeration cap, where ``enumerate_trees``
+    refuses, or on a graph whose degree sequence no cube of its order has.
     """
     p = G.p
     if p == 0 or not is_connected(G):

@@ -369,13 +369,14 @@ def collide(n: int, max_order: int, require_noncomplete: bool = False,
     pairs = []
     for p in range(1, max_order + 1):
         trees = enumerate_trees(p)
-        powers = [power(T, n) for T in trees]
-        # only powers that share a degree sequence can be isomorphic
+        # only powers that share a degree sequence can be isomorphic; those few
+        # are built again, so that not every power is held at once
         by_degrees: dict = {}
-        for i, G in enumerate(powers):
-            by_degrees.setdefault(degree_sequence(G), []).append(i)
+        for i, T in enumerate(trees):
+            by_degrees.setdefault(degree_sequence(power(T, n)), []).append(i)
         shared = sorted(i for idxs in by_degrees.values() if len(idxs) > 1 for i in idxs)
-        certs = _map_units(canonical_form, [powers[i] for i in shared], workers)
+        powers = {i: power(trees[i], n) for i in shared}
+        certs = _map_units(canonical_form, list(powers.values()), workers)
         buckets: dict = {}
         for i, cert in zip(shared, certs):
             buckets.setdefault(cert, []).append(i)

@@ -14,7 +14,6 @@ from treecube.graphs import (
     power,
     star_graph,
 )
-from treecube.trees import enumerate_trees
 from treecube.harness import (
     DEFAULT_MAX_ORDER,
     NONCUBE_CORPUS_SIZE,
@@ -26,6 +25,7 @@ from treecube.harness import (
     recognition_negative_corpus,
     run_suite,
 )
+from treecube.trees import enumerate_trees
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -70,6 +70,18 @@ def test_lemma25_runs_no_canonical_labeling(monkeypatch):
     assert report.passed and report.checked > 0
 
 
+def _count_labelings(monkeypatch) -> list:
+    calls = []
+    labeling = _kernels.canonical_labeling
+
+    def counted(*args):
+        calls.append(None)
+        return labeling(*args)
+
+    monkeypatch.setattr(_kernels, "canonical_labeling", counted)
+    return calls
+
+
 # canonical labelings per suite at order 8, counted on a cold start; a change
 # that lowers a count updates this table
 LABELINGS_AT_ORDER_8 = {
@@ -88,14 +100,7 @@ def test_labeling_counts_do_not_depend_on_earlier_suites(monkeypatch):
     # nothing a suite leaves behind may spare a later suite a labeling, so
     # the counts are the same in either order, from cold caches
     import sys
-    calls = []
-    labeling = _kernels.canonical_labeling
-
-    def counted(*args):
-        calls.append(None)
-        return labeling(*args)
-
-    monkeypatch.setattr(_kernels, "canonical_labeling", counted)
+    calls = _count_labelings(monkeypatch)
     for suites in (SUITES, SUITES[::-1]):
         for name, module in list(sys.modules.items()):
             if name == "treecube" or name.startswith("treecube."):
@@ -277,18 +282,6 @@ def test_collide_matches_a_reference_that_labels_every_power(n, require_noncompl
         want = _reference_collide(n, max_order, require_noncomplete).to_json()
         for workers in (1, 2):
             assert collide(n, max_order, require_noncomplete, workers=workers).to_json() == want
-
-
-def _count_labelings(monkeypatch) -> list:
-    calls = []
-    labeling = _kernels.canonical_labeling
-
-    def counted(*args):
-        calls.append(None)
-        return labeling(*args)
-
-    monkeypatch.setattr(_kernels, "canonical_labeling", counted)
-    return calls
 
 
 def test_thm32_labels_only_cubes_that_share_a_degree_sequence(monkeypatch):
