@@ -7,7 +7,6 @@ verification sweeps over all free trees up to a configurable order.
 """
 
 from .cubes import (
-    CliqueRecord,
     RootKind,
     RootResult,
     clique_edges_of_tree,
@@ -21,7 +20,6 @@ from .cubes import (
 from .deck import (
     Deck,
     ReconstructionReport,
-    SelectedCard,
     deck,
     deck_check,
     deck_to_text,

@@ -105,7 +105,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_collide(args) -> int:
-    result = collide(args.n, args.max_order, args.require_noncomplete, workers=args.workers)
+    result = collide(args.n, args.max_order, args.require_noncomplete)
     _write_json(result, args.json)
     print(f"power {result.n}  max order {result.max_order}  "
           f"{len(result.pairs)} colliding pair(s)")
@@ -168,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-order", type=int, default=10)
     p.add_argument("--require-noncomplete", action="store_true",
                    help="report only pairs whose common power is not complete")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--json", default=None, help="write a JSON report to this path")
     p.set_defaults(func=_cmd_collide)
 

@@ -40,14 +40,6 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
-class CliqueRecord:
-    """A maximal clique of a cube together with the tree edge it is centered on."""
-
-    members: frozenset[int]
-    clique_edge: tuple[int, int]
-
-
 class RootKind(enum.Enum):
     UNIQUE = "unique"
     AMBIGUOUS_COMPLETE = "ambiguous-complete"
@@ -102,13 +94,13 @@ def clique_edges_of_tree(T: Tree) -> frozenset[tuple[int, int]]:
     return frozenset(e for e in T.edges if e[0] not in leaf_set and e[1] not in leaf_set)
 
 
-def cliques_of_cube(T: Tree) -> list[CliqueRecord]:
-    """One record per clique edge, members being its 1-span in T.
+def cliques_of_cube(T: Tree) -> dict[tuple[int, int], frozenset[int]]:
+    """Each clique edge, in increasing order, mapped to its 1-span in T.
 
-    For trees of diameter at least 4 these are exactly the maximal cliques of
-    the cube.
+    For trees of diameter at least 4 the spans are exactly the maximal
+    cliques of the cube.
     """
-    return [CliqueRecord(edge_span(T, e, 1), e) for e in sorted(clique_edges_of_tree(T))]
+    return {e: edge_span(T, e, 1) for e in sorted(clique_edges_of_tree(T))}
 
 
 # ── constructive root extraction ──────────────────────────────────────

@@ -81,20 +81,15 @@ def deck_check(G: LabeledGraph, S: Deck) -> bool:
     return deck(G) == S
 
 
-@dataclass(frozen=True)
-class SelectedCard:
-    card: CanonicalForm
-    roots: tuple[Tree, ...]
-
-
-def select_cube_cards(S: Deck) -> tuple[SelectedCard, ...]:
-    """Keep the cards that are cubes of some tree, in card order.
+def select_cube_cards(S: Deck) -> tuple[tuple[CanonicalForm, tuple[Tree, ...]], ...]:
+    """The ``(card, roots)`` pairs of the cards that are cubes of some tree,
+    in card order, a repeated card once per copy.
 
     Unique roots carry a single candidate; complete cards carry every tree of
     diameter below 4 on the card's order.
     """
     roots = {card: cube_root(card.to_graph()).roots for card in dict.fromkeys(S.cards)}
-    return tuple(SelectedCard(card, roots[card]) for card in S.cards if roots[card])
+    return tuple((card, roots[card]) for card in S.cards if roots[card])
 
 
 @dataclass(frozen=True)
@@ -140,7 +135,7 @@ def reconstruct(S: Deck) -> ReconstructionReport:
     # tree cube too, and only the endpoint cards' roots surely extend to the
     # tree; the deck fixes its class, so the accepted labeled tree (the
     # first generated in that class) does not depend on the order tried
-    roots = (root for sc in dict.fromkeys(selected) for root in sc.roots)
+    roots = (root for card_roots in dict(selected).values() for root in card_roots)
     candidates = list(leaf_extensions(roots).values())
     trace.append(f"{len(candidates)} candidate trees extend the roots of the selected cards")
     for cand in candidates:

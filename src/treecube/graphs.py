@@ -10,8 +10,6 @@ here is a pure function.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import _kernels
@@ -87,37 +85,30 @@ class LabeledGraph:
         return f"{type(self).__name__}(p={self.p}, edges={self.edge_list()})"
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalForm:
+class CanonicalForm(bytes):
     """Byte certificate identifying an isomorphism class.
 
     Equal certificates iff isomorphic graphs; stable across runs and
-    platforms. The encoding (vertex count plus canonical adjacency bits) is
-    invertible, see :meth:`to_graph`.
+    platforms. A certificate is its bytes, a 4-byte big-endian vertex count
+    then the canonical adjacency bits, so it sorts, hashes and compares as a
+    byte string. The encoding is invertible, see :meth:`to_graph`.
     """
 
-    certificate: bytes
+    __slots__ = ()
 
     @property
     def order(self) -> int:
-        return struct.unpack(">I", self.certificate[:4])[0]
+        return int.from_bytes(self[:4], "big")
 
     @property
     def size(self) -> int:
         """Edge count of the class: the set adjacency bits (padding is zero)."""
-        return int.from_bytes(self.certificate[4:], "big").bit_count()
-
-    def hex(self) -> str:
-        return self.certificate.hex()
-
-    @classmethod
-    def from_hex(cls, s: str) -> "CanonicalForm":
-        return cls(bytes.fromhex(s))
+        return int.from_bytes(self[4:], "big").bit_count()
 
     def to_graph(self) -> LabeledGraph:
         """Decode the canonical representative of this isomorphism class."""
         p = self.order
-        bits = self.certificate[4:]
+        bits = self[4:]
         adj = [0] * p
         k = 0
         for i in range(p):
@@ -268,7 +259,7 @@ def edge_span(G: LabeledGraph, e: Iterable[int], k: int) -> frozenset[int]:
 def _canonical(G: LabeledGraph) -> tuple[CanonicalForm, tuple[int, ...]]:
     """One canonical labeling: the certificate and the order realizing it."""
     bits, perm = _kernels.canonical_labeling(G.p, G._adj)
-    return CanonicalForm(struct.pack(">I", G.p) + bits), tuple(perm)
+    return CanonicalForm(G.p.to_bytes(4, "big") + bits), tuple(perm)
 
 
 def canonical_form(G: LabeledGraph) -> CanonicalForm:

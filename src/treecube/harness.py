@@ -43,7 +43,6 @@ from .graphs import (
     degree_sequence,
     delete_vertex,
     delete_vertices,
-    diameter,
     is_complete,
     is_isomorphic,
     power,
@@ -171,10 +170,12 @@ def _thm31_unit(T: Tree) -> tuple[int, list[dict]]:
 
 
 def _lemma21_unit(T: Tree) -> tuple[int, list[dict]]:
-    if diameter(T) < 4:
+    # the cube is complete exactly when diam(T) <= 3, outside the lemma's scope
+    G = power(T, 3)
+    if is_complete(G):
         return 0, []
-    span_sets = sorted(sorted(r.members) for r in cliques_of_cube(T))
-    clique_sets = sorted(sorted(s) for s in maximal_cliques(power(T, 3)))
+    span_sets = sorted(map(sorted, cliques_of_cube(T).values()))
+    clique_sets = sorted(map(sorted, maximal_cliques(G)))
     if span_sets != clique_sets:
         return 1, [{"tree": canonical_form(T).hex()}]
     return 1, []
@@ -204,9 +205,10 @@ def _lemma24_unit(seen: dict, T: Tree) -> tuple[int, list[dict]]:
 
 
 def _lemma25_unit(T: Tree) -> tuple[int, list[dict]]:
-    if diameter(T) < 4:
+    G = power(T, 3)
+    if is_complete(G):
         return 0, []
-    xi = tree_of_cliques(power(T, 3))
+    xi = tree_of_cliques(G)
     if ahu_code(xi) != ahu_code(end_deleted(T)):
         return 1, [{"tree": canonical_form(T).hex()}]
     return 1, []
@@ -253,27 +255,19 @@ def _oracle_agreement_unit(G: LabeledGraph) -> tuple[int, list[dict]]:
 # ── suite drivers ─────────────────────────────────────────────────────
 
 
-def _check_workers(workers: int | None) -> None:
-    # None means every core
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be at least 1")
-
-
-def _map_units(fn, units, workers: int | None):
+def _sweep(fn, units, workers) -> tuple[int, list[dict]]:
     # never more processes than units or cores, whatever was asked for
     cores = os.cpu_count() or 1
     workers = min(cores if workers is None else workers, cores, len(units))
     if workers > 1:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(workers) as pool:
-            return pool.map(fn, units, chunksize=max(1, len(units) // (4 * workers)))
-    return [fn(u) for u in units]
-
-
-def _sweep(fn, units, workers) -> tuple[int, list[dict]]:
+            results = pool.map(fn, units, chunksize=max(1, len(units) // (4 * workers)))
+    else:
+        results = map(fn, units)
     checked = 0
     failures: list[dict] = []
-    for c, f in _map_units(fn, units, workers):
+    for c, f in results:
         checked += c
         failures.extend(f)
     return checked, failures
@@ -297,13 +291,14 @@ def _suite_lemma24(max_order, workers):
 
 
 def _suite_thm32(max_order, workers):
-    # every equal-order pair is checked; the failures are the cube collisions
+    # every equal-order pair is checked; the failures are the cube collisions.
+    # collide runs in one process: it labels too few powers for a pool to pay
     checked = sum(math.comb(len(enumerate_trees(p)), 2) for p in range(1, max_order + 1))
     failures = [{
         "tree1": canonical_form(pair.tree1).hex(),
         "tree2": canonical_form(pair.tree2).hex(),
         "power_certificate": pair.power_certificate.hex(),
-    } for pair in collide(3, max_order, require_noncomplete=True, workers=workers).pairs]
+    } for pair in collide(3, max_order, require_noncomplete=True).pairs]
     return checked, failures
 
 
@@ -351,21 +346,21 @@ def run_suite(suite: str, max_order: int | None = None, workers: int | None = 1)
         max_order = default_order
     if max_order < 1:
         raise ValueError("max order must be at least 1")
-    _check_workers(workers)
+    # None means every core
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be at least 1")
     start = time.perf_counter()
     checked, failures = runner(max_order, workers)
     elapsed = time.perf_counter() - start
     return VerificationReport(suite, max_order, checked, tuple(failures), elapsed)
 
 
-def collide(n: int, max_order: int, require_noncomplete: bool = False,
-            workers: int | None = 1) -> CollisionResult:
+def collide(n: int, max_order: int, require_noncomplete: bool = False) -> CollisionResult:
     """Find non-isomorphic equal-order tree pairs with isomorphic n-th powers."""
     if n < 2:
         raise ValueError("power index must be at least 2")
     if max_order < 1:
         raise ValueError("max order must be at least 1")
-    _check_workers(workers)
     pairs = []
     for p in range(1, max_order + 1):
         trees = enumerate_trees(p)
@@ -376,10 +371,9 @@ def collide(n: int, max_order: int, require_noncomplete: bool = False,
             by_degrees.setdefault(degree_sequence(power(T, n)), []).append(i)
         shared = sorted(i for idxs in by_degrees.values() if len(idxs) > 1 for i in idxs)
         powers = {i: power(trees[i], n) for i in shared}
-        certs = _map_units(canonical_form, list(powers.values()), workers)
         buckets: dict = {}
-        for i, cert in zip(shared, certs):
-            buckets.setdefault(cert, []).append(i)
+        for i, G in powers.items():
+            buckets.setdefault(canonical_form(G), []).append(i)
         for cert, idxs in sorted(buckets.items()):
             if len(idxs) < 2:
                 continue

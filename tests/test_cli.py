@@ -208,8 +208,9 @@ def test_usage_error_exit_codes(tmp_path, capsys):
 def test_a_worker_count_below_one_is_a_usage_error(capsys):
     assert main(["verify", "thm31", "--max-order", "5", "--workers", "0"]) == 2
     assert "workers must be at least 1" in capsys.readouterr().err
-    assert main(["collide", "--n", "3", "--max-order", "5", "--workers", "-1"]) == 2
-    assert "workers must be at least 1" in capsys.readouterr().err
+    # collide runs in one process and takes no worker count
+    assert main(["collide", "--n", "3", "--max-order", "5", "--workers", "2"]) == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):

@@ -69,10 +69,9 @@ def test_clique_edges_equal_end_deleted_edge_count():
 
 
 def test_cliques_of_cube_examples():
-    recs = cliques_of_cube(P(5))
-    assert [r.members for r in recs] == [frozenset({0, 1, 2, 3}), frozenset({1, 2, 3, 4})]
-    assert recs[0].clique_edge == (1, 2)
-    by_edge = {r.clique_edge: r.members for r in cliques_of_cube(P(7))}
+    assert cliques_of_cube(P(5)) == {(1, 2): {0, 1, 2, 3}, (2, 3): {1, 2, 3, 4}}
+    by_edge = cliques_of_cube(P(7))
+    assert list(by_edge) == [(1, 2), (2, 3), (3, 4), (4, 5)]
     assert by_edge[(2, 3)] == {1, 2, 3, 4}
 
 
@@ -99,7 +98,7 @@ def test_cliques_of_cube_are_the_maximal_cliques():
         for T in enumerate_trees(p):
             if diameter(T) < 4:
                 continue
-            spans = sorted(sorted(r.members) for r in cliques_of_cube(T))
+            spans = sorted(sorted(s) for s in cliques_of_cube(T).values())
             cliques = sorted(sorted(c) for c in maximal_cliques(power(T, 3)))
             assert spans == cliques
 

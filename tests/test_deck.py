@@ -114,13 +114,14 @@ def test_deck_check_prefilter_only_filters():
 def test_select_cube_cards_examples():
     sel = select_cube_cards(deck(cube_of_path(5)))
     assert len(sel) == 2
-    for sc in sel:
-        card_graph = sc.card.to_graph()
+    for card, roots in sel:
+        card_graph = card.to_graph()
         assert is_complete(card_graph) and card_graph.p == 4
-        assert len(sc.roots) == 2  # complete K4 card: P4 and the star
+        assert len(roots) == 2  # complete K4 card: P4 and the star
 
     sel = select_cube_cards(deck(complete_graph(4)))
-    assert len(sel) == 4
+    assert len(sel) == 4  # a repeated card counts once per copy
+    assert [card for card, _ in sel] == list(deck(complete_graph(4)).cards)
 
     sel = select_cube_cards(deck(cycle_graph(6)))
     assert len(sel) == 0
@@ -156,8 +157,8 @@ def test_reconstruct_uses_complete_card_roots_above_the_cap():
     G = power(T, 3)
     assert not is_complete(G) and is_complete(delete_vertex(G, 14))
     k14 = canonical_form(complete_graph(14))
-    complete_cards = [sc for sc in select_cube_cards(deck(G)) if sc.card == k14]
-    assert len(complete_cards) == 1 and len(complete_cards[0].roots) == 7
+    complete_cards = [roots for card, roots in select_cube_cards(deck(G)) if card == k14]
+    assert len(complete_cards) == 1 and len(complete_cards[0]) == 7
     report = reconstruct(deck(G))
     assert report.recognized and is_isomorphic(report.graph, G)
 

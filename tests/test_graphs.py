@@ -331,8 +331,23 @@ def test_certificate_decodes_to_representative():
 
 def test_certificate_hex_round_trip():
     c = canonical_form(cycle_graph(5))
-    assert CanonicalForm.from_hex(c.hex()) == c
-    assert c.order == 5
+    back = CanonicalForm.fromhex(c.hex())
+    assert type(back) is CanonicalForm and back == c
+    assert c.order == 5 and back.size == 5
+
+
+def test_certificates_sort_hash_and_compare_as_their_bytes():
+    import pickle
+    certs = [canonical_form(G) for G in
+             (path_graph(5), cycle_graph(5), star_graph(5), complete_graph(4), LabeledGraph(0))]
+    raw = [bytes(c) for c in certs]
+    assert sorted(certs) == sorted(raw)
+    assert [hash(c) for c in certs] == [hash(b) for b in raw]
+    assert all(c == b and not c < b for c, b in zip(certs, raw))
+    assert {c: i for i, c in enumerate(certs)}[raw[2]] == 2
+    for c in certs:
+        back = pickle.loads(pickle.dumps(c))
+        assert type(back) is CanonicalForm and back == c
 
 
 def test_is_connected_runs_one_bfs(monkeypatch):

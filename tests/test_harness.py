@@ -151,8 +151,16 @@ def test_a_worker_count_below_one_is_rejected():
     for workers in (0, -1):
         with pytest.raises(ValueError, match="workers must be at least 1"):
             run_suite("thm31", 5, workers=workers)
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            collide(3, 5, workers=workers)
+
+
+def test_collide_and_thm32_start_no_pool(monkeypatch):
+    # collide runs in one process, also inside a thm32 run given several workers
+    ctx = RecordingContext()
+    monkeypatch.setattr(harness.multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    assert collide(3, 8).pairs
+    assert run_suite("thm32", 8, workers=4).passed
+    assert ctx.pool_sizes == []
 
 
 def _lemma24_pairs(max_order):
@@ -280,8 +288,7 @@ def _reference_collide(n, max_order, require_noncomplete):
 def test_collide_matches_a_reference_that_labels_every_power(n, require_noncomplete):
     for max_order in (1, 4, 8, 10):
         want = _reference_collide(n, max_order, require_noncomplete).to_json()
-        for workers in (1, 2):
-            assert collide(n, max_order, require_noncomplete, workers=workers).to_json() == want
+        assert collide(n, max_order, require_noncomplete).to_json() == want
 
 
 def test_thm32_labels_only_cubes_that_share_a_degree_sequence(monkeypatch):
@@ -392,4 +399,4 @@ def test_failures_are_replayable_descriptors():
     # failures here, so exercise the encoding on a synthetic descriptor
     from treecube.graphs import CanonicalForm
     cert = canonical_form(power(path_graph(6), 3))
-    assert CanonicalForm.from_hex(cert.hex()) == cert
+    assert CanonicalForm.fromhex(cert.hex()) == cert
