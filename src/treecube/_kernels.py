@@ -94,10 +94,13 @@ def _is_homogeneous(adj: list[int], cells: list[int]) -> bool:
     # A stable partition is homogeneous when every within-cell graph is
     # complete or empty and every cross-cell bipartite graph is complete or
     # empty; then any cell-respecting bijection is an automorphism. Cells are
-    # disjoint masks, and a vertex is not its own neighbor.
-    for cell in cells:
+    # disjoint masks, and a vertex is not its own neighbor. In an equitable
+    # partition a singleton sees none or all of any cell, and a cell sees
+    # none or all of a singleton, so only pairs of larger cells can fail.
+    big = [cell for cell in cells if cell & (cell - 1)]
+    for cell in big:
         nbrs = adj[(cell & -cell).bit_length() - 1]
-        for other in cells:
+        for other in big:
             cnt = (nbrs & other).bit_count()
             if cnt and cnt != other.bit_count() - (other == cell):
                 return False
@@ -242,38 +245,59 @@ def canonical_labeling(p: int, adj: list[int]) -> tuple[bytes, list[int]]:
     return st.best, st.best_perm
 
 
-def maximal_cliques(p: int, adj: list[int]) -> list[int]:
-    """All inclusion-maximal cliques as bitmasks, sorted by vertex tuple.
+def maximal_cliques(p: int, adj: list[int]) -> list[int] | None:
+    """The maximal cliques of a chordal graph as bitmasks, sorted by vertex
+    tuple; None when the graph is not chordal.
 
-    Bron–Kerbosch with a pivot, on an explicit stack of ``(r, cand, excl)``:
-    each entry stands for the maximal cliques that extend ``r`` by vertices
-    of ``cand`` and contain no vertex of ``excl``. No clique size meets
-    Python's recursion limit.
+    Maximum cardinality search (Tarjan & Yannakakis, 1984) visits next the
+    unvisited vertex with the most visited neighbours, the lowest on ties;
+    the unvisited vertices wait in buckets by that weight, each a mask. A
+    vertex v gives the candidate C(v): v and its visited neighbours. The
+    graph is chordal iff every candidate is a clique, and then its maximal
+    cliques are the candidates not contained in the next one. A candidate
+    left out lies in a later one that is kept, so only the kept ones are
+    checked.
     """
-    out: list[int] = []
-    stack = [(0, (1 << p) - 1, 0)] if p else []
-    while stack:
-        r, cand, excl = stack.pop()
-        if not cand and not excl:
-            out.append(r)
-            continue
-        pivot = -1
-        pivot_cnt = -1
-        m = cand | excl
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            cnt = (cand & adj[u]).bit_count()
-            if cnt > pivot_cnt:
-                pivot_cnt = cnt
-                pivot = u
-        ext = cand & ~adj[pivot]
-        while ext:
-            v = (ext & -ext).bit_length() - 1
-            ext &= ext - 1
-            bit = 1 << v
-            stack.append((r | bit, cand & adj[v], excl & adj[v]))
-            cand &= ~bit
-            excl |= bit
+    buckets = [0] * (p + 1)
+    buckets[0] = (1 << p) - 1
+    top = seen = 0
+    visits = []  # (v's visited neighbours, v's bit) in visit order
+    for _ in range(p):
+        while not buckets[top]:
+            top -= 1
+        mask = buckets[top]
+        low = mask & -mask
+        buckets[top] = mask ^ low
+        nbrs = adj[low.bit_length() - 1]
+        visits.append((nbrs & seen, low))
+        seen |= low
+        # each unvisited neighbour moves up one bucket; they all sit at or
+        # below the top, and the top rises by at most one
+        nbrs &= ~seen
+        w = top
+        while nbrs:
+            moved = buckets[w] & nbrs
+            if moved:
+                buckets[w] ^= moved
+                buckets[w + 1] |= moved
+                nbrs ^= moved
+            w -= 1
+        if buckets[top + 1]:
+            top += 1
+    out = []
+    nxt = 0
+    for before, low in reversed(visits):
+        cand = before | low
+        if cand & ~nxt:
+            # v sees all of ``before``, which is a clique when every member
+            # but one sees all the others
+            check = before & (before - 1)
+            while check:
+                b = check & -check
+                if before & ~adj[b.bit_length() - 1] != b:
+                    return None
+                check ^= b
+            out.append(cand)
+        nxt = cand
     out.sort(key=bits)
     return out

@@ -6,11 +6,14 @@ constructively: clique intersections recover the end-deleted skeleton, its
 leaves, and where every root vertex sits among G's vertices. The
 candidate is verified by labeled recubing, an exact edge-set equality between
 the candidate's cube and G on G's own vertices, with no isomorphism test.
-A non-complete graph with no candidate, or whose candidate fails the check,
-is not a cube, at every order; the tests certify the constructive pass on
-every non-complete tree cube up to the enumeration cap, and the brute-force
-oracle stays as the independent reference. Complete graphs have many roots,
-the star and the double stars, which are built in closed form.
+A tree cube is chordal (odd powers of chordal graphs are), and the clique
+search, maximum cardinality search, rejects a graph that is not chordal
+before any candidate is built or recubed. A non-complete graph with no
+candidate, or whose candidate fails the check, is not a cube, at every
+order; the tests certify the constructive pass on every non-complete tree
+cube up to the enumeration cap, and the brute-force oracle stays as the
+independent reference. Complete graphs have many roots, the star and the
+double stars, which are built in closed form.
 """
 
 from __future__ import annotations
@@ -84,8 +87,14 @@ class RootResult:
 
 
 def maximal_cliques(G: LabeledGraph) -> list[frozenset[int]]:
-    """All inclusion-maximal cliques, in a deterministic order."""
-    return [frozenset(_kernels.bits(m)) for m in _kernels.maximal_cliques(G.p, G._adj)]
+    """All inclusion-maximal cliques of a chordal graph, sorted by vertex tuple.
+
+    Tree cubes are chordal. Raises ``ValueError`` on a graph that is not.
+    """
+    cliques = _kernels.maximal_cliques(G.p, G._adj)
+    if cliques is None:
+        raise ValueError("graph is not chordal")
+    return [frozenset(_kernels.bits(m)) for m in cliques]
 
 
 def clique_edges_of_tree(T: Tree) -> frozenset[tuple[int, int]]:
@@ -127,13 +136,17 @@ def _constructive_root(G: LabeledGraph) -> tuple[Tree, tuple[int, ...]] | None:
 
     The root's vertices are the classes, then the pendant skeleton vertices,
     then each skeleton vertex's leaves in turn. Returns the root with the map
-    from its vertices to G's, or None. One guard rejects early: a
-    non-complete cube's skeleton has at least two edges, so each class holds
-    two cliques or more, and a class of one is the cheap exit for about half
-    the non-cubes. All else is judged by the root's ``Tree`` check and the
-    caller's labeled recubing.
+    from its vertices to G's, or None. Two guards reject early. A tree cube
+    is chordal, and so is its overlap graph, the line graph of the skeleton
+    tree: the clique search that finds either graph not chordal rejects.
+    And a non-complete cube's skeleton has at least two edges, so each class
+    holds two cliques or more: a class of one is the cheap exit for about
+    half the non-cubes. All else is judged by the root's ``Tree`` check and
+    the caller's labeled recubing.
     """
     cliques = _kernels.maximal_cliques(G.p, G._adj)
+    if cliques is None:
+        return None
     m = len(cliques)
     overlap = [0] * m
     for i in range(m):
@@ -142,7 +155,10 @@ def _constructive_root(G: LabeledGraph) -> tuple[Tree, tuple[int, ...]] | None:
             if (a & cliques[j]).bit_count() >= 3:
                 overlap[i] |= 1 << j
                 overlap[j] |= 1 << i
-    classes = [_kernels.bits(mask) for mask in _kernels.maximal_cliques(m, overlap)]
+    class_masks = _kernels.maximal_cliques(m, overlap)
+    if class_masks is None:
+        return None
+    classes = [_kernels.bits(mask) for mask in class_masks]
     if any(len(members) < 2 for members in classes):
         return None
     cover: list[list[int]] = [[] for _ in range(m)]
@@ -237,11 +253,13 @@ def cube_root(G: LabeledGraph) -> RootResult:
 
     Unique for connected non-complete cubes; complete graphs on at least 3
     vertices are ambiguous (the star and the double stars, built in closed
-    form); everything else is not a cube. Constructive extraction places
-    every root vertex on a vertex of G, and the candidate is accepted only by
-    labeled recubing, exact edge equality between its cube and G on G's own
-    vertices. No canonical labeling or tree enumeration is involved, so the
-    call is polynomial and every answer means the same at every order.
+    form); everything else is not a cube. A graph that is not chordal is
+    rejected by the clique search, before any recubing. Otherwise
+    constructive extraction places every root vertex on a vertex of G, and
+    the candidate is accepted only by labeled recubing, exact edge equality
+    between its cube and G on G's own vertices. No canonical labeling or
+    tree enumeration is involved, so the call is polynomial and every answer
+    means the same at every order.
     """
     p = G.p
     if p == 0 or not is_connected(G):

@@ -207,7 +207,22 @@ def power(G: LabeledGraph, k: int) -> LabeledGraph:
     """k-th power: joins distinct vertices at distance between 1 and k."""
     if k < 1:
         raise ValueError("power index must be at least 1")
-    return _from_masks([_kernels.ball(G._adj, 1 << u, k) ^ 1 << u for u in range(G.p)])
+    # every closed ball at once: a pass takes each ball to its union with
+    # the neighbours' balls, one more hop, and stops when none grows
+    adj = G._adj
+    balls = [a | 1 << u for u, a in enumerate(adj)]
+    for _ in range(k - 1):
+        grown = []
+        for b, a in zip(balls, adj):
+            while a:
+                low = a & -a
+                b |= balls[low.bit_length() - 1]
+                a ^= low
+            grown.append(b)
+        if grown == balls:
+            break
+        balls = grown
+    return _from_masks([b ^ 1 << u for u, b in enumerate(balls)])
 
 
 def is_complete(G: LabeledGraph) -> bool:

@@ -70,6 +70,28 @@ def brute_force_maximal_cliques(G: LabeledGraph) -> list[frozenset[int]]:
     return sorted(cliques, key=sorted)
 
 
+def is_chordal_oracle(G: LabeledGraph) -> bool:
+    """Chordality by repeated simplicial-vertex elimination on edge sets.
+
+    A graph is chordal iff it can be emptied by deleting, one at a time, a
+    vertex whose remaining neighbours are pairwise adjacent (Fulkerson &
+    Gross, 1965; Dirac, 1961).
+    """
+    nbrs = {v: set() for v in range(G.p)}
+    for u, v in G.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    while nbrs:
+        for v, around in nbrs.items():
+            if all(b in nbrs[a] for a, b in itertools.combinations(around, 2)):
+                break
+        else:
+            return False
+        for a in nbrs.pop(v):
+            nbrs[a].discard(v)
+    return True
+
+
 def prufer_to_edges(seq: list[int]) -> list[tuple[int, int]]:
     """Decode a Pruefer sequence into labeled tree edges."""
     p = len(seq) + 2

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import (
     brute_force_maximal_cliques,
+    is_chordal_oracle,
     random_prufer_tree,
     refuse_distance_matrix,
 )
@@ -79,18 +80,22 @@ def test_maximal_cliques_examples():
     K5_minus_e = power(path_graph(5), 3)
     assert maximal_cliques(K5_minus_e) == [frozenset({0, 1, 2, 3}), frozenset({1, 2, 3, 4})]
     assert maximal_cliques(complete_graph(4)) == [frozenset({0, 1, 2, 3})]
-    assert maximal_cliques(cycle_graph(4)) == [
-        frozenset({0, 1}), frozenset({0, 3}), frozenset({1, 2}), frozenset({2, 3})]
+    # the cliques are listed for chordal graphs only
+    with pytest.raises(ValueError, match="not chordal"):
+        maximal_cliques(cycle_graph(4))
 
 
 def test_maximal_cliques_match_brute_force():
-    import random
     rng = random.Random(9)
     for _ in range(25):
         p = rng.randint(1, 9)
         edges = [(u, v) for u in range(p) for v in range(u + 1, p) if rng.random() < 0.5]
         G = LabeledGraph(p, edges)
-        assert maximal_cliques(G) == brute_force_maximal_cliques(G)
+        if is_chordal_oracle(G):
+            assert maximal_cliques(G) == brute_force_maximal_cliques(G)
+        else:
+            with pytest.raises(ValueError, match="not chordal"):
+                maximal_cliques(G)
 
 
 def test_cliques_of_cube_are_the_maximal_cliques():
@@ -369,6 +374,30 @@ def test_labeled_check_rejects_a_misplaced_vertex():
     swapped[0], swapped[1] = swapped[1], swapped[0]
     assert not _is_labeled_cube(G, T, tuple(swapped))
     assert not _is_labeled_cube(G, T, phi[:-1] + (phi[0],))
+
+
+def test_cube_root_rejects_non_chordal_near_cubes_before_recubing(monkeypatch):
+    # a tree cube is chordal: a relabeled tree cube minus one edge that is
+    # not chordal is refused by the clique search, with no labeled check
+    import treecube.cubes as cubes
+
+    rng = random.Random(25)
+    near_cubes = []
+    for p in range(6, 10):
+        for T in enumerate_trees(p):
+            G = relabeled_cube(T, rng)
+            for e in G.edge_list():
+                H = LabeledGraph(p, G.edges - {e})
+                if not is_chordal_oracle(H):
+                    near_cubes.append(H)
+
+    def refuse(*args):
+        raise AssertionError("a graph that is not chordal was recubed")
+
+    monkeypatch.setattr(cubes, "_is_labeled_cube", refuse)
+    for H in near_cubes:
+        assert cube_root(H).kind is RootKind.NOT_A_CUBE
+    assert len(near_cubes) > 500
 
 
 def test_cube_root_needs_no_enumeration_fallback():

@@ -7,8 +7,17 @@ import inspect
 import random
 from pathlib import Path
 
-from helpers import CORPUS, binary_tree, spider, symmetric_corpus
+from helpers import (
+    CORPUS,
+    binary_tree,
+    brute_force_maximal_cliques,
+    is_chordal_oracle,
+    spider,
+    symmetric_corpus,
+)
 from treecube import _kernels
+from treecube.graphs import LabeledGraph, complete_graph, delete_vertex, power
+from treecube.trees import enumerate_trees
 
 
 def adj_masks(p, edges):
@@ -74,14 +83,50 @@ def test_python_kernels_handle_large_orders():
 
 
 def test_maximal_cliques_of_a_large_clique_need_no_recursion():
-    # K_1100 minus the edge {0, 1}: the search goes one level deeper per
-    # clique vertex, past Python's recursion limit
+    # K_1100 minus the edge {0, 1}: two cliques of 1,099 vertices, past
+    # Python's recursion limit
     p = 1100
     full = (1 << p) - 1
     a = [full & ~(1 << v) for v in range(p)]
     a[0] &= ~(1 << 1)
     a[1] &= ~1
     assert _kernels.maximal_cliques(p, a) == [full & ~(1 << 1), full & ~1]
+
+
+def chordality_corpus():
+    """Tree powers (k = 1..4) and their cards, K_p - e, p = 0 and 1, and
+    seeded random graphs, chordal or not."""
+    out = [LabeledGraph(0), LabeledGraph(1)]
+    for p in range(1, 8):
+        for T in enumerate_trees(p):
+            for k in range(1, 5):
+                G = power(T, k)
+                out.append(G)
+                out.extend(delete_vertex(G, v) for v in range(p))
+    for p in range(2, 9):
+        out.append(LabeledGraph(p, complete_graph(p).edges - {(0, p - 1)}))
+    rng = random.Random(25)
+    for _ in range(500):
+        p = rng.randint(4, 9)
+        density = rng.random()
+        out.append(LabeledGraph(p, [(u, v) for u in range(p) for v in range(u + 1, p)
+                                    if rng.random() < density]))
+    return out
+
+
+def test_maximal_cliques_match_brute_force_on_chordal_graphs_only():
+    # the search lists the maximal cliques of a chordal graph, and answers
+    # None exactly on the graphs that are not chordal
+    chordal = other = 0
+    for G in chordality_corpus():
+        cliques = _kernels.maximal_cliques(G.p, G._adj)
+        if is_chordal_oracle(G):
+            chordal += 1
+            assert [frozenset(_kernels.bits(c)) for c in cliques] == brute_force_maximal_cliques(G)
+        else:
+            other += 1
+            assert cliques is None, G
+    assert chordal > 900 and other > 150
 
 
 def test_maximal_cliques_leaves_no_reference_cycle():
