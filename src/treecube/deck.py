@@ -58,13 +58,25 @@ class Deck:
 
 
 def deck(G: LabeledGraph) -> Deck:
-    """The deck of G: one certificate per vertex-deleted subgraph."""
+    """The deck of G: one certificate per vertex-deleted subgraph.
+
+    One card is labeled per twin class: vertices with equal open or closed
+    masks are swapped by an automorphism, so their cards share a certificate.
+    """
     if G.p < 1:
         raise ValueError("deck requires at least one vertex")
     # refused before any card is built: parse_deck could never read it back
     if G.p > MAX_DECK_ORDER:
         raise ValueError(f"deck order {G.p} exceeds the deck limit {MAX_DECK_ORDER}")
-    return Deck(tuple(canonical_form(delete_vertex(G, v)) for v in range(G.p)))
+    # a twin class's card, keyed by its open or its closed mask
+    by_open: dict[int, CanonicalForm] = {}
+    by_closed: dict[int, CanonicalForm] = {}
+    cards = []
+    for v, a in enumerate(G._adj):
+        card = by_open.get(a) or by_closed.get(a | 1 << v) or canonical_form(delete_vertex(G, v))
+        cards.append(card)
+        by_open[a] = by_closed[a | 1 << v] = card
+    return Deck(tuple(cards))
 
 
 def deck_check(G: LabeledGraph, S: Deck) -> bool:

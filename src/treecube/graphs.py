@@ -165,12 +165,18 @@ def _from_masks(adj: list[int]) -> LabeledGraph:
 
 
 def delete_vertex(G: LabeledGraph, v: int) -> LabeledGraph:
-    """Vertex-deleted subgraph, densely relabeled (order-preserving)."""
-    return delete_vertices(G, (v,))
+    """Vertex-deleted subgraph, densely relabeled: bits above v move down one."""
+    G._check_vertex(v)
+    low = (1 << v) - 1
+    return _from_masks([a & low | a >> 1 & ~low for a in G._adj[:v] + G._adj[v + 1:]])
 
 
 def delete_vertices(G: LabeledGraph, vs: Iterable[int]) -> LabeledGraph:
-    """Subgraph without the vertices ``vs``, densely relabeled (order-preserving)."""
+    """Subgraph without the vertices ``vs``, densely relabeled (order-preserving).
+
+    A shift per dropped vertex would be quadratic on large sparse graphs, so
+    each run of kept vertices moves at once.
+    """
     drop = sorted(set(vs))
     for v in drop:
         G._check_vertex(v)

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from helpers import CORPUS
+from helpers import CORPUS, induced_subgraph_oracle
 from treecube import _kernels
 from treecube.cubes import is_tree_cube
 from treecube.deck import (
@@ -17,6 +19,7 @@ from treecube.errors import GraphParseError, OrderTooSmallError
 from treecube.graphs import (
     LabeledGraph,
     canonical_form,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     delete_vertex,
@@ -63,6 +66,45 @@ def test_deck_refuses_an_order_that_parse_deck_would_refuse(monkeypatch):
     monkeypatch.setattr(_kernels, "canonical_labeling", refuse)
     with pytest.raises(ValueError, match=f"exceeds the deck limit {MAX_DECK_ORDER}"):
         deck(path_graph(MAX_DECK_ORDER + 1))
+
+
+def reference_deck(G):
+    # every card labeled, each built by filtering the edge set
+    return Deck(tuple(canonical_form(induced_subgraph_oracle(G, set(range(G.p)) - {v}))
+                      for v in range(G.p)))
+
+
+def test_twin_class_decks_equal_decks_that_label_every_card():
+    graphs = []
+    for p in range(1, 10):
+        for T in enumerate_trees(p):
+            G = power(T, 3)
+            graphs.append(G)
+            if p > 1:
+                graphs.extend(delete_vertex(G, v) for v in range(p))
+    graphs += [complete_graph(p) for p in range(1, 8)]
+    graphs += [complete_bipartite_graph(a, b) for a in range(1, 5) for b in range(a, 5)]
+    graphs += [star_graph(p) for p in range(2, 9)] + [LabeledGraph(p) for p in range(1, 7)]
+    rng = random.Random(26)
+    for _ in range(300):
+        p, density = rng.randint(1, 9), rng.random()
+        graphs.append(LabeledGraph(p, [(u, v) for u in range(p) for v in range(u + 1, p)
+                                       if rng.random() < density]))
+    for G in graphs:
+        assert deck(G) == reference_deck(G)
+
+
+def test_deck_labels_one_card_per_twin_class(monkeypatch):
+    calls = []
+    labeling = _kernels.canonical_labeling
+    monkeypatch.setattr(_kernels, "canonical_labeling",
+                        lambda *args: calls.append(None) or labeling(*args))
+    # K5: one closed class; K_{3,4} and the 6-star: two open classes; P4: no twins
+    for G, classes in ((complete_graph(5), 1), (complete_bipartite_graph(3, 4), 2),
+                       (star_graph(6), 2), (path_graph(4), 4)):
+        calls.clear()
+        deck(G)
+        assert len(calls) == classes
 
 
 def test_deck_check_examples():

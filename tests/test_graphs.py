@@ -370,8 +370,10 @@ def test_delete_vertices_refuses_vertices_out_of_range():
     for vs in ([99], [-1], [0, 4]):
         with pytest.raises(ValueError, match="out of range"):
             delete_vertices(G, vs)
-    with pytest.raises(ValueError, match="out of range"):
-        delete_vertex(G, 99)
+    # a list slice would quietly take -1 as the last vertex
+    for v in (99, -1, G.p):
+        with pytest.raises(ValueError, match="out of range"):
+            delete_vertex(G, v)
 
 
 def test_delete_vertices_matches_an_edge_filter_on_every_subset():
@@ -387,6 +389,11 @@ def test_delete_vertices_matches_an_edge_filter_on_every_subset():
             H = delete_vertices(G, drop[::-1] + drop)
             want = induced_subgraph_oracle(G, set(range(G.p)) - set(drop))
             assert H == want and hash(H) == hash(want) and H._adj == want._adj
+        # one vertex by its own shift, against the set path and the oracle
+        for v in range(G.p):
+            H = delete_vertex(G, v)
+            want = induced_subgraph_oracle(G, set(range(G.p)) - {v})
+            assert H == delete_vertices(G, [v]) == want and H._adj == want._adj
 
 
 @settings(max_examples=60)

@@ -83,15 +83,15 @@ def _count_labelings(monkeypatch) -> list:
 
 
 # canonical labelings per suite at order 8, counted on a cold start; a change
-# that lowers a count updates this table
+# that lowers a count updates this table (decks label one card per twin class)
 LABELINGS_AT_ORDER_8 = {
     "thm31": 0,
     "thm32": 14,
     "lemma21": 0,
     "lemma24": 0,
     "lemma25": 0,
-    "rc-pipeline": 554,
-    "recognition-negative": 317,
+    "rc-pipeline": 273,
+    "recognition-negative": 255,
     "oracle-agreement": 101,
 }
 
@@ -219,6 +219,25 @@ def test_lemma24_answers_each_labeled_graph_once_per_run(monkeypatch):
         report = run_suite("lemma24", 8, workers=1)
         assert report.passed and report.checked == 1028
         assert len(calls) == 75
+
+
+def test_lemma24_builds_each_subset_by_one_single_vertex_deletion(monkeypatch):
+    # 1,028 pairs over the 48 trees of order at most 8: the empty subset is
+    # the cube itself, and every other graph is one deletion from a smaller
+    # subset's graph; no pair pays for a set deletion
+    from treecube import graphs, trees
+    calls = []
+    real = harness.delete_vertex
+
+    def refuse(*args):
+        raise AssertionError("delete_vertices ran")
+
+    monkeypatch.setattr(harness, "delete_vertex", lambda G, v: calls.append(v) or real(G, v))
+    monkeypatch.setattr(graphs, "delete_vertices", refuse)
+    monkeypatch.setattr(trees, "delete_vertices", refuse)
+    report = run_suite("lemma24", 8, workers=1)
+    assert report.passed and report.checked == 1028
+    assert len(calls) == 1028 - 48
 
 
 def test_lemma24_memo_hits_follow_the_enumerated_labelings(monkeypatch):
