@@ -245,31 +245,62 @@ def canonical_labeling(p: int, adj: list[int]) -> tuple[bytes, list[int]]:
     return st.best, st.best_perm
 
 
-def maximal_cliques(p: int, adj: list[int]) -> list[int] | None:
+# the bits of each byte in reverse order: a mask's little-endian bytes
+# translated through it read vertex 0 first, as the most significant bit
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def maximal_cliques(p: int, adj: list[int], tree: list | None = None) -> list[int] | None:
     """The maximal cliques of a chordal graph as bitmasks, sorted by vertex
     tuple; None when the graph is not chordal.
 
     Maximum cardinality search (Tarjan & Yannakakis, 1984) visits next the
     unvisited vertex with the most visited neighbours, the lowest on ties;
     the unvisited vertices wait in buckets by that weight, each a mask. A
-    vertex v gives the candidate C(v): v and its visited neighbours. The
-    graph is chordal iff every candidate is a clique, and then its maximal
-    cliques are the candidates not contained in the next one. A candidate
-    left out lies in a later one that is kept, so only the kept ones are
-    checked.
+    clique starts at a vertex whose visited neighbours S are not the clique
+    being built, and takes in each later vertex whose visited neighbours
+    are exactly that clique. The graph is chordal iff every such S is one.
+
+    A list ``tree`` receives the clique tree (Blair & Peyton, 1993), one per
+    component, as ``(child, parent, S)`` for each clique that starts with
+    S != {}: its parent is the clique that S's latest visited vertex
+    joined, and S is their intersection.
     """
     buckets = [0] * (p + 1)
     buckets[0] = (1 << p) - 1
     top = seen = 0
-    visits = []  # (v's visited neighbours, v's bit) in visit order
+    out: list[int] = []  # the cliques in the order they start
+    links = []  # (clique, parent, separator) in the same indices
+    k = -1  # the clique being built
+    owner = [0] * p  # the clique each visited vertex joined, rising with the visits
     for _ in range(p):
         while not buckets[top]:
             top -= 1
         mask = buckets[top]
         low = mask & -mask
         buckets[top] = mask ^ low
-        nbrs = adj[low.bit_length() - 1]
-        visits.append((nbrs & seen, low))
+        v = low.bit_length() - 1
+        nbrs = adj[v]
+        before = nbrs & seen
+        if k < 0 or before != out[k]:
+            # ``before`` is a clique when every member sees all the others;
+            # its latest visited member joined the highest clique
+            parent = -1
+            check = before
+            while check:
+                b = check & -check
+                u = b.bit_length() - 1
+                if before & ~adj[u] != b:
+                    return None
+                if owner[u] > parent:
+                    parent = owner[u]
+                check ^= b
+            k += 1
+            out.append(before)
+            if before:
+                links.append((k, parent, before))
+        out[k] |= low
+        owner[v] = k
         seen |= low
         # each unvisited neighbour moves up one bucket; they all sit at or
         # below the top, and the top rises by at most one
@@ -284,20 +315,12 @@ def maximal_cliques(p: int, adj: list[int]) -> list[int] | None:
             w -= 1
         if buckets[top + 1]:
             top += 1
-    out = []
-    nxt = 0
-    for before, low in reversed(visits):
-        cand = before | low
-        if cand & ~nxt:
-            # v sees all of ``before``, which is a clique when every member
-            # but one sees all the others
-            check = before & (before - 1)
-            while check:
-                b = check & -check
-                if before & ~adj[b.bit_length() - 1] != b:
-                    return None
-                check ^= b
-            out.append(cand)
-        nxt = cand
-    out.sort(key=bits)
-    return out
+    # in a family where no mask holds another, descending bit-reversed bytes
+    # are ascending vertex tuples
+    width = (p + 7) // 8
+    keys = [m.to_bytes(width, "little").translate(_REVERSED) for m in out]
+    order = sorted(range(len(out)), key=keys.__getitem__, reverse=True)
+    if tree is not None:
+        rank = sorted(range(len(out)), key=order.__getitem__)
+        tree.extend((rank[c], rank[parent], sep) for c, parent, sep in links)
+    return [out[c] for c in order]

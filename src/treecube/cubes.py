@@ -2,10 +2,11 @@
 
 A non-complete cube of a tree decomposes into maximal cliques that are the
 1-spans of the internal tree edges. Root extraction inverts that structure
-constructively: clique intersections recover the end-deleted skeleton, its
-leaves, and where every root vertex sits among G's vertices. The
-candidate is verified by labeled recubing, an exact edge-set equality between
-the candidate's cube and G on G's own vertices, with no isomorphism test.
+constructively: the separators of the clique tree, which the clique search
+builds in its one pass, recover the end-deleted skeleton, its leaves, and
+where every root vertex sits among G's vertices. The candidate is verified
+by labeled recubing, an exact edge-set equality between the candidate's
+cube and G on G's own vertices, with no isomorphism test.
 A tree cube is chordal (odd powers of chordal graphs are), and the clique
 search, maximum cardinality search, rejects a graph that is not chordal
 before any candidate is built or recubed. A non-complete graph with no
@@ -119,12 +120,14 @@ def _constructive_root(G: LabeledGraph) -> tuple[Tree, tuple[int, ...]] | None:
     """Propose a root for a connected non-complete graph, or None.
 
     Rebuilds the end-deleted skeleton from the maximal cliques, all kept as
-    vertex bitmasks: cliques sharing at least 3 vertices are centered on
-    skeleton edges with a common endpoint, so the maximal groups of
-    pairwise-overlapping cliques are the edge stars of the skeleton's
-    internal vertices (Krausz classes). The cliques of a class intersect in
-    the closed neighborhood N[x] of its center x, which places every root
-    vertex among G's vertices:
+    vertex bitmasks. Two cliques share at least 3 vertices iff their skeleton
+    edges share an endpoint x, and then they share exactly N[x], its closed
+    neighborhood. A clique tree is a maximum-weight spanning tree of the
+    clique intersection graph (Blair & Peyton, 1993), so the one the clique
+    search builds joins the cliques of x's edge star by edges whose
+    separator is N[x]: grouped by separator, its edges give the stars of
+    the skeleton's internal vertices (Krausz classes) with their N[x]. That
+    places every root vertex among G's vertices:
 
     * x is the one vertex that N[x] shares with the neighborhoods of all
       neighboring classes (N[x] & N[z] = {x, z}). With fewer than two
@@ -136,45 +139,30 @@ def _constructive_root(G: LabeledGraph) -> tuple[Tree, tuple[int, ...]] | None:
 
     The root's vertices are the classes, then the pendant skeleton vertices,
     then each skeleton vertex's leaves in turn. Returns the root with the map
-    from its vertices to G's, or None. Two guards reject early. A tree cube
-    is chordal, and so is its overlap graph, the line graph of the skeleton
-    tree: the clique search that finds either graph not chordal rejects.
-    And a non-complete cube's skeleton has at least two edges, so each class
-    holds two cliques or more: a class of one is the cheap exit for about
-    half the non-cubes. All else is judged by the root's ``Tree`` check and
-    the caller's labeled recubing.
+    from its vertices to G's, or None. A tree cube is chordal, so the
+    clique search that finds G not chordal rejects, and so does a separator
+    of fewer than 3 vertices. All else is judged by the root's ``Tree``
+    check and the caller's labeled recubing.
     """
-    cliques = _kernels.maximal_cliques(G.p, G._adj)
+    tree: list[tuple[int, int, int]] = []
+    cliques = _kernels.maximal_cliques(G.p, G._adj, tree)
     if cliques is None:
         return None
-    m = len(cliques)
-    overlap = [0] * m
-    for i in range(m):
-        a = cliques[i]
-        for j in range(i + 1, m):
-            if (a & cliques[j]).bit_count() >= 3:
-                overlap[i] |= 1 << j
-                overlap[j] |= 1 << i
-    class_masks = _kernels.maximal_cliques(m, overlap)
-    if class_masks is None:
-        return None
-    classes = [_kernels.bits(mask) for mask in class_masks]
-    if any(len(members) < 2 for members in classes):
-        return None
-    cover: list[list[int]] = [[] for _ in range(m)]
-    for ci, members in enumerate(classes):
+    groups: dict[int, set[int]] = {}
+    for child, parent, sep in tree:
+        if sep.bit_count() < 3:
+            return None
+        groups.setdefault(sep, set()).update((child, parent))
+    classes = sorted((sorted(members), sep) for sep, members in groups.items())
+    cover: list[list[int]] = [[] for _ in cliques]
+    for ci, (members, _) in enumerate(classes):
         for e in members:
             cover[e].append(ci)
-    if any(len(c) > 2 for c in cover):
+    if any(len(c) not in (1, 2) for c in cover):
         return None
 
     t = len(classes)
-    neighborhoods = []
-    for members in classes:
-        nb = -1
-        for e in members:
-            nb &= cliques[e]
-        neighborhoods.append(nb)
+    neighborhoods = [sep for _, sep in classes]
     centers = list(neighborhoods)
     edges = []
     pendants: list[tuple[int, int]] = []  # (clique index, class of its inner end)
@@ -216,7 +204,10 @@ def _constructive_root(G: LabeledGraph) -> tuple[Tree, tuple[int, ...]] | None:
 
 def _is_labeled_cube(G: LabeledGraph, T: Tree, vertex_map: tuple[int, ...]) -> bool:
     """True iff ``vertex_map`` is a bijection carrying T's cube onto G edge for edge."""
-    return sorted(vertex_map) == list(range(G.p)) and power(relabel(T, vertex_map), 3) == G
+    try:
+        return power(relabel(T, vertex_map), 3) == G
+    except ValueError:
+        return False
 
 
 @lru_cache(maxsize=None)

@@ -153,7 +153,12 @@ def relabel(G: LabeledGraph, perm: Iterable[int]) -> LabeledGraph:
         raise ValueError("perm must be a permutation of 0..p-1")
     adj = [0] * G.p
     for u, a in enumerate(G._adj):
-        adj[perm[u]] = sum(1 << perm[v] for v in _kernels.bits(a))
+        row = 0
+        while a:
+            low = a & -a
+            row |= 1 << perm[low.bit_length() - 1]
+            a ^= low
+        adj[perm[u]] = row
     return _from_masks(adj)
 
 

@@ -70,6 +70,28 @@ def brute_force_maximal_cliques(G: LabeledGraph) -> list[frozenset[int]]:
     return sorted(cliques, key=sorted)
 
 
+def krausz_classes_oracle(cliques: list[int]) -> list[tuple[list[int], int]]:
+    """The Krausz classes of a tree cube's clique masks, from the overlap graph.
+
+    The overlap graph joins two cliques that share 3 vertices or more; on a
+    non-complete tree cube it is the line graph of the skeleton, and its
+    maximal cliques are the classes. Each class is its sorted clique indices
+    and the intersection of its cliques, in order of those index tuples.
+    Every pair of cliques is compared, and the maximal cliques come from
+    subset enumeration, so it suits only a few dozen cliques.
+    """
+    m = len(cliques)
+    overlap = LabeledGraph(m, [(i, j) for i in range(m) for j in range(i + 1, m)
+                               if (cliques[i] & cliques[j]).bit_count() >= 3])
+    classes = []
+    for members in brute_force_maximal_cliques(overlap):
+        common = -1
+        for e in members:
+            common &= cliques[e]
+        classes.append((sorted(members), common))
+    return classes
+
+
 def is_chordal_oracle(G: LabeledGraph) -> bool:
     """Chordality by repeated simplicial-vertex elimination on edge sets.
 

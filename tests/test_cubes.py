@@ -5,6 +5,7 @@ import pytest
 from helpers import (
     brute_force_maximal_cliques,
     is_chordal_oracle,
+    krausz_classes_oracle,
     random_prufer_tree,
     refuse_distance_matrix,
 )
@@ -374,6 +375,9 @@ def test_labeled_check_rejects_a_misplaced_vertex():
     swapped[0], swapped[1] = swapped[1], swapped[0]
     assert not _is_labeled_cube(G, T, tuple(swapped))
     assert not _is_labeled_cube(G, T, phi[:-1] + (phi[0],))
+    # a map of another length, or a root of another order, answers False
+    assert not _is_labeled_cube(G, T, phi + (7,))
+    assert not _is_labeled_cube(G, P(8), tuple(range(8)))
 
 
 def test_cube_root_rejects_non_chordal_near_cubes_before_recubing(monkeypatch):
@@ -442,3 +446,76 @@ def test_cube_root_agrees_with_oracle_on_perturbed_and_deleted_cubes():
                     assert ahu_code(r.tree) == ahu_code(want.tree)
                 checked[r.kind] += 1
     assert min(checked.values()) > 0 and sum(checked.values()) == 3_512
+
+
+def separator_groups(G):
+    """The clique-tree edges of G grouped by separator, as (sorted cliques, separator)."""
+    from treecube import _kernels
+    tree = []
+    _kernels.maximal_cliques(G.p, G._adj, tree)
+    groups = {}
+    for child, parent, sep in tree:
+        groups.setdefault(sep, set()).update((child, parent))
+    return sorted((sorted(members), sep) for sep, members in groups.items())
+
+
+def test_separator_groups_are_the_krausz_classes():
+    # on a non-complete tree cube, the clique tree's edges grouped by
+    # separator are the maximal groups of pairwise-overlapping cliques, in
+    # the same order and with the same intersections
+    rng = random.Random(27)
+    checked = 0
+    for p in range(5, 11):
+        for T in enumerate_trees(p):
+            if diameter(T) < 4:
+                continue
+            G = relabeled_cube(T, rng)
+            cliques = [sum(1 << v for v in c) for c in maximal_cliques(G)]
+            assert separator_groups(G) == krausz_classes_oracle(cliques)
+            checked += 1
+    assert checked == 175
+
+
+def test_cube_root_runs_one_clique_search(monkeypatch):
+    from treecube import _kernels
+    search = _kernels.maximal_cliques
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return search(*args)
+
+    monkeypatch.setattr(_kernels, "maximal_cliques", counted)
+    rng = random.Random(3)
+    for T in (P(9), spider(3, 3, 3), complete_binary_tree(4)):
+        calls.clear()
+        assert cube_root(relabeled_cube(T, rng)).kind is RootKind.UNIQUE
+        assert calls == [T.p]
+    calls.clear()
+    assert cube_root(LabeledGraph(9, power(P(9), 3).edges - {(3, 5)})).kind is RootKind.NOT_A_CUBE
+    assert len(calls) == 1
+
+
+def test_cube_root_decides_connectivity_before_any_clique_search(monkeypatch):
+    # a header-only input of a million vertices has no edges: the clique
+    # search on it would run a million-bit maximum cardinality search
+    from treecube import _kernels
+
+    def refuse(*args):
+        raise AssertionError("a clique search ran on a disconnected graph")
+
+    monkeypatch.setattr(_kernels, "maximal_cliques", refuse)
+    assert cube_root(parse_graph("1048576\n")).kind is RootKind.NOT_A_CUBE
+
+
+def test_cube_root_of_a_long_path_cube_is_fast():
+    # the relabeled cube of P8000 has 7,997 cliques: Krausz classes from the
+    # clique tree need no comparison of every pair of cliques
+    import time
+    G = relabeled_cube(P(8000), random.Random(8000))
+    start = time.perf_counter()
+    r = cube_root(G)
+    elapsed = time.perf_counter() - start
+    assert r.kind is RootKind.UNIQUE
+    assert ahu_code(r.tree) == ahu_code(P(8000))
+    assert elapsed < 5.0, elapsed

@@ -129,6 +129,45 @@ def test_maximal_cliques_match_brute_force_on_chordal_graphs_only():
     assert chordal > 900 and other > 150
 
 
+def find(parents, x):
+    """The root of x in a union-find list, halving the path on the way."""
+    while parents[x] != x:
+        parents[x] = parents[parents[x]]
+        x = parents[x]
+    return x
+
+
+def test_clique_tree_of_every_chordal_graph():
+    # the search also lists the clique tree: each separator is the
+    # intersection of its two cliques, the edges form one tree per connected
+    # component, and the cliques holding any one vertex form a subtree
+    checked = 0
+    for G in chordality_corpus():
+        tree = []
+        cliques = _kernels.maximal_cliques(G.p, G._adj, tree)
+        if cliques is None:
+            continue
+        checked += 1
+        component = list(range(G.p))  # union-find over G's vertices
+        for u, v in G.edges:
+            component[find(component, u)] = find(component, v)
+        joined = list(range(len(cliques)))  # union-find over the tree's edges
+        for child, parent, sep in tree:
+            assert sep == cliques[child] & cliques[parent]
+            a, b = find(joined, child), find(joined, parent)
+            assert a != b, "the clique tree has a cycle"
+            joined[a] = b
+        component_of = [find(component, (c & -c).bit_length() - 1) for c in cliques]
+        for i in range(len(cliques)):
+            for j in range(i):
+                assert (find(joined, i) == find(joined, j)) == (component_of[i] == component_of[j])
+        for v in range(G.p):
+            holding = sum(c >> v & 1 for c in cliques)
+            inside = sum((cliques[a] & cliques[b]) >> v & 1 for a, b, _ in tree)
+            assert inside == holding - 1, (G.edge_list(), v)
+    assert checked > 900
+
+
 def test_maximal_cliques_leaves_no_reference_cycle():
     p = 30
     a = adj_masks(p, [(u, v) for u in range(p) for v in range(u + 1, min(u + 4, p))])
