@@ -378,6 +378,7 @@ def test_labeled_check_rejects_a_misplaced_vertex():
     # a map of another length, or a root of another order, answers False
     assert not _is_labeled_cube(G, T, phi + (7,))
     assert not _is_labeled_cube(G, P(8), tuple(range(8)))
+    assert not _is_labeled_cube(G, P(8), tuple(range(7)))
 
 
 def test_cube_root_rejects_non_chordal_near_cubes_before_recubing(monkeypatch):
