@@ -13,8 +13,10 @@ before any candidate is built or recubed. A non-complete graph with no
 candidate, or whose candidate fails the check, is not a cube, at every
 order; the tests certify the constructive pass on every non-complete tree
 cube up to the enumeration cap, and the brute-force oracle stays as the
-independent reference. Complete graphs have many roots, the star and the
-double stars, which are built in closed form.
+independent reference: it compares G with the cube of every tree of its
+order whose cube shares G's sorted degree sequence, the grouping that the
+power-collision search uses too. Complete graphs have many roots, the star
+and the double stars, which are built in closed form.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from . import _kernels
 from .errors import AmbiguousStructureError, NotACubeError, NotATreeError
 from .graphs import (
     LabeledGraph,
-    _canonical,
     canonical_form,
     degree_sequence,
     edge_span,
     is_complete,
     is_connected,
+    isomorphism,
     power,
     relabel,
 )
@@ -224,19 +226,15 @@ def _complete_roots(p: int) -> tuple[Tree, ...]:
 
 
 @lru_cache(maxsize=None)
-def _cubes_by_certificate(p: int) -> tuple[dict, frozenset[tuple[int, ...]]]:
-    """Each cube certificate of order p mapped to the trees that cube to it,
-    in enumeration order, and the canonical order of the first one's cube;
-    then the degree sequences of those cubes."""
-    table: dict = {}
-    degrees = set()
+def _power_buckets(n: int, p: int) -> dict[tuple[int, ...], tuple[Tree, ...]]:
+    """The trees of order p grouped by the sorted degree sequence of their
+    n-th powers, each group in enumeration order. Isomorphic powers share a
+    group, and no labeling runs. Callers check the enumeration cap
+    themselves, as this table is cached."""
+    buckets: dict = {}
     for T in enumerate_trees(p):
-        cube = power(T, 3)
-        degrees.add(degree_sequence(cube))
-        cert, order = _canonical(cube)
-        trees, first_order = table.get(cert, ((), order))
-        table[cert] = (trees + (T,), first_order)
-    return table, frozenset(degrees)
+        buckets.setdefault(degree_sequence(power(T, n)), []).append(T)
+    return {key: tuple(trees) for key, trees in buckets.items()}
 
 
 def cube_root(G: LabeledGraph) -> RootResult:
@@ -269,29 +267,28 @@ def cube_root(G: LabeledGraph) -> RootResult:
 def cube_root_oracle(G: LabeledGraph) -> RootResult:
     """Brute-force root extraction: test every tree of the same order.
 
-    No labeling runs above the enumeration cap, where ``enumerate_trees``
+    Only the trees whose cubes share G's degree sequence can match, and each
+    of those is compared with G by ``isomorphism``: a cube equal to G mask
+    for mask needs no labeling, any other is compared by certificates. No
+    labeling runs above the enumeration cap, where ``enumerate_trees``
     refuses, or on a graph whose degree sequence no cube of its order has.
     """
     p = G.p
     if p == 0 or not is_connected(G):
         return RootResult(RootKind.NOT_A_CUBE)
-    # the cap refuses on every call, even when the table is cached, and
-    # before any labeling
+    # the cap refuses on every call, even when the buckets are cached
     enumerate_trees(p)
-    table, degrees = _cubes_by_certificate(p)
-    if degree_sequence(G) not in degrees:
+    matches, vertex_map = [], None
+    for T in _power_buckets(3, p).get(degree_sequence(G), ()):
+        phi = isomorphism(power(T, 3), G)
+        if phi is not None:
+            matches.append(T)
+            vertex_map = vertex_map or tuple(phi[v] for v in range(p))
+    if not matches:
         return RootResult(RootKind.NOT_A_CUBE)
-    target, order_g = _canonical(G)
-    if target not in table:
-        return RootResult(RootKind.NOT_A_CUBE)
-    matches, order_t = table[target]
     if p >= 3 and is_complete(G):
-        return RootResult(RootKind.AMBIGUOUS_COMPLETE, matches)
-    # the canonical orders of the root's cube and of G carry one onto the other
-    vertex_map = [0] * p
-    for i, v in enumerate(order_t):
-        vertex_map[v] = order_g[i]
-    return RootResult.unique(matches[0], tuple(vertex_map))
+        return RootResult(RootKind.AMBIGUOUS_COMPLETE, tuple(matches))
+    return RootResult.unique(matches[0], vertex_map)
 
 
 def is_tree_cube(G: LabeledGraph) -> bool:

@@ -54,11 +54,6 @@ class LabeledGraph:
         self._check_vertex(v)
         return self._adj[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self._adj[u] >> v & 1)
-
     def edge_list(self) -> list[Edge]:
         """The edges in increasing order: each once, from its lower end."""
         return [(u, v) for u, a in enumerate(self._adj) for v in _kernels.bits(a & -(2 << u))]
@@ -106,9 +101,17 @@ class CanonicalForm(bytes):
         return int.from_bytes(self[4:], "big").bit_count()
 
     def to_graph(self) -> LabeledGraph:
-        """Decode the canonical representative of this isomorphism class."""
+        """Decode the canonical representative of this isomorphism class.
+
+        Raises ``ValueError`` unless the bytes after the count hold exactly
+        the p(p - 1)/2 adjacency bits, with every padding bit clear.
+        """
         p = self.order
         bits = self[4:]
+        nbits = p * (p - 1) // 2
+        padding = (1 << -nbits % 8) - 1
+        if len(self) < 4 or len(bits) != (nbits + 7) // 8 or int.from_bytes(bits, "big") & padding:
+            raise ValueError(f"malformed certificate for order {p}")
         adj = [0] * p
         k = 0
         for i in range(p):

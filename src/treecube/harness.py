@@ -27,6 +27,7 @@ from functools import partial
 
 from .cubes import (
     RootKind,
+    _power_buckets,
     cliques_of_cube,
     cube_root,
     cube_root_oracle,
@@ -41,7 +42,6 @@ from .graphs import (
     canonical_form,
     complete_bipartite_graph,
     cycle_graph,
-    degree_sequence,
     delete_vertex,
     is_complete,
     is_isomorphic,
@@ -367,24 +367,19 @@ def collide(n: int, max_order: int, require_noncomplete: bool = False) -> Collis
         raise ValueError("max order must be at least 1")
     pairs = []
     for p in range(1, max_order + 1):
-        trees = enumerate_trees(p)
-        # only powers that share a degree sequence can be isomorphic; those few
-        # are built again, so that not every power is held at once
-        by_degrees: dict = {}
-        for i, T in enumerate(trees):
-            by_degrees.setdefault(degree_sequence(power(T, n)), []).append(i)
-        shared = sorted(i for idxs in by_degrees.values() if len(idxs) > 1 for i in idxs)
-        powers = {i: power(trees[i], n) for i in shared}
-        buckets: dict = {}
-        for i, G in powers.items():
-            buckets.setdefault(canonical_form(G), []).append(i)
-        for cert, idxs in sorted(buckets.items()):
-            if len(idxs) < 2:
+        # the cap refuses on every call, even when the buckets are cached
+        enumerate_trees(p)
+        # only powers that share a degree sequence can be isomorphic, so only
+        # those are labeled; trees in a class keep their enumeration order
+        classes: dict = {}
+        for trees in _power_buckets(n, p).values():
+            if len(trees) > 1:
+                for T in trees:
+                    classes.setdefault(canonical_form(power(T, n)), []).append(T)
+        for cert, trees in sorted(classes.items()):
+            complete = cert.size == p * (p - 1) // 2
+            if len(trees) < 2 or require_noncomplete and complete:
                 continue
-            complete = is_complete(powers[idxs[0]])
-            if require_noncomplete and complete:
-                continue
-            for a in range(len(idxs)):
-                for b in range(a + 1, len(idxs)):
-                    pairs.append(CollisionPair(trees[idxs[a]], trees[idxs[b]], cert, complete))
+            pairs.extend(CollisionPair(a, b, cert, complete)
+                         for i, a in enumerate(trees) for b in trees[i + 1:])
     return CollisionResult(n, max_order, require_noncomplete, tuple(pairs))

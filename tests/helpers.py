@@ -61,10 +61,11 @@ def brute_force_isomorphic(G: LabeledGraph, H: LabeledGraph) -> bool:
 def brute_force_maximal_cliques(G: LabeledGraph) -> list[frozenset[int]]:
     """All maximal cliques by subset enumeration (p <= ~12)."""
     cliques = []
+    nbrs = [G.neighbors(v) for v in range(G.p)]
     for mask in range(1, 1 << G.p):
         members = [v for v in range(G.p) if mask >> v & 1]
-        if all(G.has_edge(u, v) for i, u in enumerate(members) for v in members[i + 1:]):
-            if not any(all(G.has_edge(u, w) for u in members)
+        if all(v in nbrs[u] for i, u in enumerate(members) for v in members[i + 1:]):
+            if not any(all(w in nbrs[u] for u in members)
                        for w in range(G.p) if w not in members):
                 cliques.append(frozenset(members))
     return sorted(cliques, key=sorted)

@@ -226,6 +226,37 @@ def test_cube_root_oracle_matches_and_limits(monkeypatch):
     assert cube_root_oracle(LabeledGraph(7)).kind is RootKind.NOT_A_CUBE
 
 
+def test_oracle_labels_nothing_when_labeled_equality_decides(monkeypatch):
+    # complete graphs and the cubes of the diameter <= 3 trees are K_p mask
+    # for mask, and a cube alone in its degree-sequence bucket is its own
+    # tree's cube: isomorphism answers all of them without a labeling
+    from treecube import _kernels
+    from treecube.cubes import _power_buckets
+
+    def refuse(*args):
+        raise AssertionError("the oracle ran a canonical labeling")
+
+    monkeypatch.setattr(_kernels, "canonical_labeling", refuse)
+    for p in range(3, 13):
+        K = complete_graph(p)
+        r = cube_root_oracle(K)
+        assert r.kind is RootKind.AMBIGUOUS_COMPLETE
+        assert r.roots == cube_root(K).roots
+        for T in r.roots:
+            assert cube_root_oracle(power(T, 3)) == r
+    alone = 0
+    for p in range(1, 11):
+        for trees in _power_buckets(3, p).values():
+            G = power(trees[0], 3)
+            if len(trees) == 1 and not is_complete(G):
+                r = cube_root_oracle(G)
+                assert r.kind is RootKind.UNIQUE and r.tree is trees[0]
+                assert r.vertex_map == tuple(range(p))
+                alone += 1
+    # 168 of the 201 cubes to order 10 are alone in their bucket: K1, K2, K3 and these
+    assert alone == 165
+
+
 def test_unique_root_verifies_by_recubing():
     for p in range(5, 11):
         for T in enumerate_trees(p):
@@ -350,7 +381,7 @@ def test_cube_root_runs_no_canonical_labeling(monkeypatch):
 
     monkeypatch.setattr(_kernels, "canonical_labeling", refuse)
     assert not hasattr(cubes, "max_enumeration_order")
-    for name in ("enumerate_trees", "_cubes_by_certificate"):
+    for name in ("enumerate_trees", "_power_buckets"):
         monkeypatch.setattr(cubes, name, refuse)
     for G in non_cubes:
         # the oracle labeled these very graphs above: nothing is cached on them

@@ -83,7 +83,8 @@ def _count_labelings(monkeypatch) -> list:
 
 
 # canonical labelings per suite at order 8, counted on a cold start; a change
-# that lowers a count updates this table (decks label one card per twin class)
+# that lowers a count updates this table (decks label one card per twin class;
+# the oracle labels only cubes that share G's degree sequence and differ from G)
 LABELINGS_AT_ORDER_8 = {
     "thm31": 0,
     "thm32": 14,
@@ -92,7 +93,7 @@ LABELINGS_AT_ORDER_8 = {
     "lemma25": 0,
     "rc-pipeline": 273,
     "recognition-negative": 255,
-    "oracle-agreement": 101,
+    "oracle-agreement": 10,
 }
 
 
@@ -328,8 +329,6 @@ def test_oracle_rejects_an_unmatched_degree_sequence_without_labeling(monkeypatc
     corpus = noncube_corpus(NONCUBE_CORPUS_SIZE, 10)
     unmatched = [G for G in corpus if degree_sequence(G) not in _cube_degree_sequences(G.p)]
     assert len(unmatched) == 198
-    for p in range(4, 11):
-        cube_root_oracle(power(path_graph(p), 3))  # builds the order's table
 
     def refuse(*args):
         raise AssertionError("canonical labeling ran")
@@ -345,10 +344,19 @@ def test_oracle_labels_and_rejects_a_non_cube_with_a_cubes_degree_sequence(monke
     assert sorted((G.p, G.size) for G in matched) == [(7, 16), (8, 21)]
     calls = _count_labelings(monkeypatch)
     for G in matched:
-        cube_root_oracle(power(path_graph(G.p), 3))  # builds the order's table
+        # G's bucket holds one tree: G and that tree's cube are labeled once each
         calls.clear()
         assert cube_root_oracle(G).kind is RootKind.NOT_A_CUBE
-        assert len(calls) == 1
+        assert len(calls) == 2
+
+
+def test_collide_refuses_above_the_cap_on_every_call(monkeypatch):
+    # the buckets of order 7 are cached by the first call; the cap still refuses
+    from treecube.errors import EnumerationLimitError
+    collide(3, 7)
+    monkeypatch.setenv("TREECUBE_MAX_ORDER", "6")
+    with pytest.raises(EnumerationLimitError):
+        collide(3, 7)
 
 
 def test_collide_validates_arguments():
